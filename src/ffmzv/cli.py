@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import FFMzvError, ParseError
-from .fields import FieldSpec
+from .fields import FieldSpec, is_prime
 from .harmonic import (GFRing, RationalRing, TruncatedPolyRing, ZModRing,
                        check_thmC, check_thmD, random_instance)
 from .poly import Poly, irreducible_polys, is_irreducible, parse_poly
@@ -141,6 +141,7 @@ def _run_compute(args, spec: FieldSpec) -> dict:
     s = parse_composition(args.tuple)
     result = {"command": "compute", "q": spec.q, "tuple": str(s),
               "star": args.star}
+    passed = True
     if args.N is not None:
         if args.v is None:
             raise ParseError("--N requires --v")
@@ -153,6 +154,9 @@ def _run_compute(args, spec: FieldSpec) -> dict:
         result.update(evaluator="vadic", v=str(v), N=args.N, D=report.D,
                       value=str(report.value), stabilized=report.stabilized,
                       stable_from=report.stable_from)
+        # an unstabilized partial sum, or one below the exact bound, proves
+        # nothing about the v-adic value
+        passed = report.stabilized and report.D >= args.N * v.degree() + 1
     elif args.v is not None:
         v = _parse_prime(args.v, spec)
         value = finite_mzv(v, s, args.star, spec)
@@ -162,7 +166,7 @@ def _run_compute(args, spec: FieldSpec) -> dict:
             raise ParseError("truncated evaluation requires --D")
         value = truncated_mzv(args.D, s, args.star, spec)
         result.update(evaluator="trunc", D=args.D, value=str(value))
-    result["passed"] = True
+    result["passed"] = passed
     return result
 
 
@@ -213,18 +217,26 @@ def _run_search(args, spec: FieldSpec) -> dict:
     return report
 
 
+_RING_ARITY = {"zmod": 1, "polymod": 2, "rationals": 0, "gf": 1}
+
+
 def _make_ring(text: str):
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *params = text.split(":")
+    if kind not in _RING_ARITY:
+        raise ParseError(f"unknown ring {text!r}")
+    if len(params) != _RING_ARITY[kind]:
+        raise ParseError(f"ring {kind!r} takes {_RING_ARITY[kind]} "
+                         f"parameter(s): {text!r}")
     if kind == "zmod":
-        return ZModRing(int(parts[1]))
+        return ZModRing(int(params[0]))
     if kind == "polymod":
-        return TruncatedPolyRing(int(parts[1]), int(parts[2]))
+        P, K = int(params[0]), int(params[1])
+        if not is_prime(P):
+            raise ParseError(f"polymod:P:K needs a prime P, got {P}")
+        return TruncatedPolyRing(P, K)
     if kind == "rationals":
         return RationalRing()
-    if kind == "gf":
-        return GFRing(FieldSpec.parse(f"q={parts[1]}"))
-    raise ParseError(f"unknown ring {text!r}")
+    return GFRing(FieldSpec.parse(f"q={params[0]}"))
 
 
 def _run_harmonic(args) -> dict:

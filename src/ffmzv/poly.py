@@ -1,13 +1,37 @@
-"""Dense polynomials over F_q in the variable t.
+"""Dense polynomials over F_q in the variable t, stored as packed bytes.
 
-Coefficients are stored component-wise: a polynomial of degree n-1 is an
-(f, n) int64 array whose column i holds the F_p coordinates of the t^i
-coefficient.  Multiplication runs f^2 numpy convolutions followed by a
-reduction of the generator powers, which keeps degree-thousands arithmetic
-fast enough for exact zeta computations.
+Layout.  A polynomial is one immutable ``bytes`` value.  Coefficients come
+in ascending powers of t, each as its f coordinates over F_p on the power
+basis of the field generator, each coordinate an unsigned little-endian
+integer w bytes wide.  Trailing zero coefficients are stripped, so the zero
+polynomial is ``b""`` and degree() == -1 stands in for deg(0) = -infinity.
 
-The zero polynomial has an empty coefficient array and degree() == -1
-(the distinguished "minus infinity" stand-in).
+Slot widths.  Read little-endian, those bytes are one Python integer with a
+w-byte slot per coordinate, and the kernels are a few big-integer operations
+on such integers.  A slot must never carry into its neighbour:
+
+- w is the narrowest of 1, 2, 4, 8 bytes that holds 2p - 1, the most a slot
+  reaches in add or sub (sub adds p to every slot it subtracts from).  That
+  is one byte for p <= 127 and two bytes from p = 131 on.
+- mul is Kronecker substitution.  Coordinate plane k of a polynomial (its
+  x^k coordinates) is re-packed into slots of s bytes, and the f^2 integer
+  products of planes give the product's planes c_j for x^0 .. x^(2f-2).  A
+  slot of c_j sums at most min(n_a, n_b) * m_j terms below (p-1)^2, where
+  m_j = min(j + 1, 2f - 1 - j) counts the plane pairs landing on x^j.
+  Folding x^j = sum_k r_jk x^k (FieldSpec.x_power_coords) for j >= f gives
+  plane k as c_k + sum_j r_jk c_j, whose slots hold at most
+  min(n_a, n_b) * (p-1)^2 * (m_k + sum_j r_jk m_j); s is the narrowest of
+  1, 2, 4, 8 bytes that holds the largest of these bounds.
+- divmod keeps the remainder as one integer.  Each step clears its leading
+  coefficient and adds a cached negated multiple of the divisor below it;
+  slots stay unreduced for as many steps as they can take without carrying.
+
+Tables.  After each kernel every slot is reduced mod p.  One-byte slots are
+reduced with ``bytes.translate`` and a 256-entry table, as is scaling by an
+element of F_p: one C-level pass with no array built per call.  At the
+degrees of residues mod v^N (< 32) building a numpy array costs more than
+the arithmetic on it.  Wider slots, reached only by large products or
+p >= 131, are reduced with ``np.frombuffer(...) % p``.
 """
 
 from __future__ import annotations
@@ -16,33 +40,143 @@ import re
 
 import numpy as np
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero, InvalidFieldSpec, ParseError
 from .fields import FieldSpec
 
-_irred_cache: dict[tuple, bool] = {}
+_irred_cache: dict["Poly", bool] = {}
+_UINT = {s: np.dtype(f"<u{s}") for s in (1, 2, 4, 8)}  # little-endian slots
+
+
+def _width(bound: int) -> int:
+    """Bytes of the narrowest unsigned slot that holds bound."""
+    for s in (1, 2, 4, 8):
+        if bound < 1 << 8 * s:
+            return s
+    raise InvalidFieldSpec(f"coefficient bound {bound} needs slots wider "
+                           "than 8 bytes")
+
+
+class _Layout:
+    """Byte layout and reduction tables of the polynomials over one field."""
+
+    def __init__(self, spec: FieldSpec):
+        p, f = spec.p, spec.f
+        self.spec = spec
+        self.key = hash(spec)
+        self.p, self.f = p, f
+        self.w = _width(2 * p - 1)
+        self.size = f * self.w  # bytes per coefficient
+        self.dtype = _UINT[self.w]
+        self.mod = bytes(x % p for x in range(256))
+        # scale_tables[a]: multiplies one-byte slots by a in F_p
+        self.scale_tables = [bytes(a * x % p for x in range(256))
+                             for a in range(p)] if self.w == 1 else []
+        self.chunks = [b"".join(c.to_bytes(self.w, "little")
+                                for c in spec.coords(a))
+                       for a in range(spec.q)]
+        self.index = {chunk: a for a, chunk in enumerate(self.chunks)}
+        # fold_terms[k]: the (j, r) with x^j = ... + r x^k + ..., f <= j <= 2f-2
+        xpow = [spec.x_power_coords(j) for j in range(f, 2 * f - 1)]
+        self.fold_terms = [[(j, row[k]) for j, row in enumerate(xpow, f) if row[k]]
+                           for k in range(f)]
+        # the bound on a product slot (see the module docstring) per min(n_a, n_b)
+        pairs = [min(j + 1, 2 * f - 1 - j) for j in range(2 * f - 1)]
+        self.slot_unit = (p - 1) ** 2 * max(
+            pairs[k] + sum(r * pairs[j] for j, r in terms)
+            for k, terms in enumerate(self.fold_terms))
+
+    def reduce(self, raw: bytes, s: int) -> bytes:
+        """Reduce each s-byte slot mod p, into coordinates w bytes wide."""
+        if s == 1:
+            return raw.translate(self.mod)
+        arr = np.frombuffer(raw, dtype=_UINT[s]) % self.p
+        return arr.astype(self.dtype).tobytes()
+
+    def strip(self, raw: bytes) -> bytes:
+        """Drop trailing zero coefficients."""
+        if self.size == 1:
+            return raw.rstrip(b"\0")
+        n = len(raw.rstrip(b"\0"))
+        return raw[: n + (-n % self.size)]
+
+    def encode(self, coeffs) -> bytes:
+        if self.size == 1:
+            return bytes(coeffs)
+        return b"".join([self.chunks[a] for a in coeffs])
+
+    def coeff(self, data, i: int) -> int:
+        """Element index of the t^i coefficient of a packed polynomial."""
+        if self.size == 1:
+            return data[i]
+        return self.index[bytes(data[i * self.size:(i + 1) * self.size])]
+
+    def plane(self, data: bytes, k: int, s: int) -> int:
+        """Coordinate k of every coefficient, as one integer of s-byte slots."""
+        w, size = self.w, self.size
+        if s == 1:  # hence w == 1
+            return int.from_bytes(data[k::size], "little")
+        buf = bytearray(len(data) // size * s)
+        for u in range(w):
+            buf[u::s] = data[k * w + u::size]
+        return int.from_bytes(buf, "little")
+
+
+_layouts: dict[FieldSpec, _Layout] = {}
+
+
+def _layout(spec: FieldSpec) -> _Layout:
+    lay = _layouts.get(spec)
+    if lay is None:
+        lay = _layouts[spec] = _Layout(spec)
+    return lay
+
+
+def _kron(lay: _Layout, a: bytes, b: bytes) -> bytes:
+    """Product of two nonzero packed polynomials by Kronecker substitution."""
+    f, w, size = lay.f, lay.w, lay.size
+    na, nb = len(a) // size, len(b) // size
+    nc = na + nb - 1
+    s = _width(min(na, nb) * lay.slot_unit)
+    if f == 1:
+        if s == w:
+            prod = int.from_bytes(a, "little") * int.from_bytes(b, "little")
+        else:
+            prod = lay.plane(a, 0, s) * lay.plane(b, 0, s)
+        return lay.reduce(prod.to_bytes(nc * s, "little"), s)
+    A = [lay.plane(a, k, s) for k in range(f)]
+    B = [lay.plane(b, k, s) for k in range(f)]
+    c = [0] * (2 * f - 1)  # c[j]: the x^j coordinate plane of the product
+    for k, x in enumerate(A):
+        for j, y in enumerate(B):
+            c[k + j] += x * y
+    out = bytearray(nc * size)
+    for k, terms in enumerate(lay.fold_terms):
+        ck = c[k] + sum(r * c[j] for j, r in terms)
+        plane = lay.reduce(ck.to_bytes(nc * s, "little"), s)
+        for u in range(w):
+            out[k * w + u::size] = plane[u::w]
+    return bytes(out)
 
 
 class Poly:
-    __slots__ = ("spec", "c")
+    __slots__ = ("spec", "data", "_lay")
 
-    def __init__(self, spec: FieldSpec, comps: np.ndarray):
-        # comps must already be reduced mod p; trailing zero columns stripped here
-        n = comps.shape[1]
-        while n > 0 and not comps[:, n - 1].any():
-            n -= 1
-        self.spec = spec
-        self.c = np.ascontiguousarray(comps[:, :n])
+    def __init__(self, lay: _Layout, data: bytes):
+        # internal: data must be reduced mod p and stripped; build polynomials
+        # with the classmethods below
+        self.spec = lay.spec
+        self.data = data
+        self._lay = lay
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, np.zeros((spec.f, 0), dtype=np.int64))
+        return cls(_layout(spec), b"")
 
     @classmethod
     def const(cls, spec: FieldSpec, a: int) -> "Poly":
-        arr = np.array([spec.coords(a)], dtype=np.int64).T
-        return cls(spec, arr)
+        return cls.from_indices(spec, [a])
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
@@ -55,27 +189,31 @@ class Poly:
     @classmethod
     def from_indices(cls, spec: FieldSpec, coeffs) -> "Poly":
         """Build from a list of F_q element indices, ascending powers of t."""
-        arr = np.zeros((spec.f, len(coeffs)), dtype=np.int64)
-        for i, a in enumerate(coeffs):
-            arr[:, i] = spec.coords(a)
-        return cls(spec, arr)
+        lay = _layout(spec)
+        return cls(lay, lay.strip(lay.encode(coeffs)))
 
     # -- basic queries ---------------------------------------------------------
 
+    @property
+    def c(self) -> np.ndarray:
+        """Read-only (f, n) view of the F_p coordinates: column i is t^i."""
+        lay = self._lay
+        return np.frombuffer(self.data, dtype=lay.dtype).reshape(-1, lay.f).T
+
     def degree(self) -> int:
         """Degree, with -1 standing in for deg(0) = -infinity."""
-        return self.c.shape[1] - 1
+        return len(self.data) // self._lay.size - 1
 
     def is_zero(self) -> bool:
-        return self.c.shape[1] == 0
+        return not self.data
 
     def coeff_index(self, i: int) -> int:
-        if i < 0 or i >= self.c.shape[1]:
+        if i < 0 or i > self.degree():
             return 0
-        return self.spec.from_coords(self.c[:, i])
+        return self._lay.coeff(self.data, i)
 
     def coeff_indices(self) -> list[int]:
-        return [self.coeff_index(i) for i in range(self.c.shape[1])]
+        return [self._lay.coeff(self.data, i) for i in range(self.degree() + 1)]
 
     def lead_index(self) -> int:
         return self.coeff_index(self.degree())
@@ -91,11 +229,11 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.spec == other.spec and self.c.shape == other.c.shape
-                and bool((self.c == other.c).all()))
+        # one layout per field: equal specs share it
+        return self._lay is other._lay and self.data == other.data
 
     def __hash__(self):
-        return hash((self.spec, self.c.shape[1], self.c.tobytes()))
+        return hash((self._lay.key, self.data))
 
     def __repr__(self):
         return f"Poly({poly_str(self)!r})"
@@ -106,88 +244,81 @@ class Poly:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(self.c.shape[1], other.c.shape[1])
-        out = np.zeros((self.spec.f, n), dtype=np.int64)
-        out[:, : self.c.shape[1]] = self.c
-        out[:, : other.c.shape[1]] += other.c
-        return Poly(self.spec, out % self.spec.p)
+        return Poly(self._lay, _add(self._lay, self.data, other.data))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.spec, (-self.c) % self.spec.p)
+        return Poly(self._lay, _neg(self._lay, self.data))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(self.c.shape[1], other.c.shape[1])
-        out = np.zeros((self.spec.f, n), dtype=np.int64)
-        out[:, : self.c.shape[1]] = self.c
-        out[:, : other.c.shape[1]] -= other.c
-        return Poly(self.spec, out % self.spec.p)
+        return Poly(self._lay, _add(self._lay, self.data,
+                                    _neg(self._lay, other.data)))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        spec = self.spec
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(spec)
-        f, p = spec.f, spec.p
-        n = self.c.shape[1] + other.c.shape[1] - 1
-        full = np.zeros((2 * f - 1, n), dtype=np.int64)
-        for i in range(f):
-            if not self.c[i].any():
-                continue
-            for j in range(f):
-                if not other.c[j].any():
-                    continue
-                full[i + j] += np.convolve(self.c[i], other.c[j])
-        full %= p
-        if f == 1:
-            return Poly(spec, full)
-        out = full[:f].copy()
-        for j in range(f, 2 * f - 1):
-            row = full[j]
-            if not row.any():
-                continue
-            red = spec.x_power_coords(j)
-            for k in range(f):
-                if red[k]:
-                    out[k] += red[k] * row
-        return Poly(spec, out % p)
+        if not self.data or not other.data:
+            return Poly(self._lay, b"")
+        return Poly(self._lay, _kron(self._lay, self.data, other.data))
 
     def scale(self, a: int) -> "Poly":
         """Multiply by the F_q element with index a."""
-        spec = self.spec
-        if a == 0 or self.is_zero():
-            return Poly.zero(spec)
-        if a == 1:
-            return self
-        return Poly(spec, (_scalar_matrix(spec, a) @ self.c) % spec.p)
+        lay = self._lay
+        if a == 0 or not self.data:
+            return Poly(lay, b"")
+        return Poly(lay, _scale(lay, self.data, a))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t^k."""
-        if self.is_zero() or k == 0:
+        if not self.data or k == 0:
             return self
-        out = np.zeros((self.spec.f, self.c.shape[1] + k), dtype=np.int64)
-        out[:, k:] = self.c
-        return Poly(self.spec, out)
+        return Poly(self._lay, bytes(k * self._lay.size) + self.data)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        spec = self.spec
-        if other.is_zero():
+        lay, spec = self._lay, self.spec
+        b = other.data
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        m = other.degree()
-        if self.degree() < m:
-            return Poly.zero(spec), self
-        p = spec.p
-        inv_lead = spec.inv(other.lead_index())
-        r = self.c.copy()
-        qcomp = np.zeros((spec.f, self.degree() - m + 1), dtype=np.int64)
-        pw = np.array([p ** i for i in range(spec.f)], dtype=np.int64)
-        for i in range(self.degree(), m - 1, -1):
-            idx = int(r[:, i] @ pw)
-            if idx == 0:
+        size, p = lay.size, lay.p
+        m = len(b) // size - 1
+        top = self.degree()
+        if top < m:
+            return Poly(lay, b""), self
+        inv_lead = spec.inv(lay.coeff(b, m))
+        if m == 0:
+            return self.scale(inv_lead), Poly(lay, b"")
+        neg_inv = spec.neg(inv_lead)
+        # The remainder is one integer r.  Each step clears its leading
+        # coefficient c and adds -(c / lead) * other below it.  Slots are left
+        # unreduced for `lazy` steps, as many as can add p - 1 to a slot
+        # before it could carry.
+        bits = 8 * size  # bits per coefficient
+        r = int.from_bytes(self.data, "little")
+        quot = [0] * (top - m + 1)
+        steps: dict[int, tuple[int, int]] = {}  # c -> (c / lead, low multiple)
+        lazy = room = ((1 << 8 * lay.w) - 1) // (p - 1) - 1
+        while (bl := r.bit_length()) > bits * m:
+            i = (bl - 1) // bits
+            head = r >> bits * i
+            r -= head << bits * i
+            if size == 1:
+                c = head % p
+            else:
+                c = lay.index[lay.reduce(head.to_bytes(size, "little"), lay.w)]
+            if not c:
                 continue
-            factor = spec.mul(idx, inv_lead)
-            qcomp[:, i - m] = spec.coords(factor)
-            r[:, i - m: i + 1] = (r[:, i - m: i + 1]
-                                  - _scalar_matrix(spec, factor) @ other.c) % p
-        return Poly(spec, qcomp), Poly(spec, r[:, :m] if m > 0 else r[:, :0])
+            step = steps.get(c)
+            if step is None:
+                mult = _scale(lay, b, spec.mul(c, neg_inv))[:m * size]
+                step = steps[c] = (spec.mul(c, inv_lead),
+                                   int.from_bytes(mult, "little"))
+            quot[i - m] = step[0]
+            r += step[1] << bits * (i - m)
+            room -= 1
+            if not room:
+                n = (top + 1) * size
+                r = int.from_bytes(lay.reduce(r.to_bytes(n, "little"), lay.w),
+                                   "little")
+                room = lazy
+        rem = lay.reduce(r.to_bytes(m * size, "little"), lay.w)
+        return Poly(lay, lay.encode(quot)), Poly(lay, lay.strip(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -219,28 +350,32 @@ class Poly:
         lead = self.lead_index()
         return self if lead == 1 else self.scale(self.spec.inv(lead))
 
-    def derivative(self) -> "Poly":
-        n = self.c.shape[1]
-        if n <= 1:
-            return Poly.zero(self.spec)
-        out = self.c[:, 1:] * np.arange(1, n, dtype=np.int64)
-        return Poly(self.spec, out % self.spec.p)
+
+def _add(lay: _Layout, a: bytes, b: bytes) -> bytes:
+    if not b:
+        return a
+    if not a:
+        return b
+    n = max(len(a), len(b))
+    x, y = int.from_bytes(a, "little"), int.from_bytes(b, "little")
+    if lay.p == 2:
+        return lay.strip((x ^ y).to_bytes(n, "little"))
+    return lay.strip(lay.reduce((x + y).to_bytes(n, "little"), lay.w))
 
 
-def _scalar_matrix(spec: FieldSpec, a: int) -> np.ndarray:
-    cache = getattr(spec, "_scal_mats", None)
-    if cache is None:
-        cache = {}
-        spec._scal_mats = cache
-    m = cache.get(a)
-    if m is None:
-        f = spec.f
-        m = np.zeros((f, f), dtype=np.int64)
-        for i in range(f):
-            basis = spec.from_coords([1 if k == i else 0 for k in range(f)])
-            m[:, i] = spec.coords(spec.mul(a, basis))
-        cache[a] = m
-    return m
+def _neg(lay: _Layout, data: bytes) -> bytes:
+    if lay.p == 2 or not data:
+        return data
+    return _scale(lay, data, lay.p - 1)
+
+
+def _scale(lay: _Layout, data: bytes, a: int) -> bytes:
+    """A nonzero packed polynomial times the F_q element a != 0."""
+    if a == 1:
+        return data
+    if a < lay.p and lay.w == 1:  # a lies in F_p: act slot by slot
+        return data.translate(lay.scale_tables[a])
+    return _kron(lay, data, lay.chunks[a])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -276,6 +411,7 @@ def monic_polys(spec: FieldSpec, d: int):
         yield Poly.one(spec)
         return
     q = spec.q
+    lay = _layout(spec)
     for idx in range(q ** d):
         coeffs = []
         m = idx
@@ -283,7 +419,7 @@ def monic_polys(spec: FieldSpec, d: int):
             coeffs.append(m % q)
             m //= q
         coeffs.append(1)
-        yield Poly.from_indices(spec, coeffs)
+        yield Poly(lay, lay.encode(coeffs))
 
 
 def is_irreducible(v: Poly) -> bool:
@@ -291,8 +427,7 @@ def is_irreducible(v: Poly) -> bool:
 
     Results are cached; the cache is idempotent (pure recomputation).
     """
-    key = (v.spec, v.c.shape[1], v.c.tobytes())
-    hit = _irred_cache.get(key)
+    hit = _irred_cache.get(v)
     if hit is not None:
         return hit
     d = v.degree()
@@ -307,7 +442,7 @@ def is_irreducible(v: Poly) -> bool:
                     break
             if not res:
                 break
-    _irred_cache[key] = res
+    _irred_cache[v] = res
     return res
 
 

@@ -26,7 +26,7 @@ from .fields import FieldSpec
 from .lfrac import LFrac
 from .poly import Poly
 from .power_sums import default_vanish_cap, vanish_degree
-from .residue import AtLeast, ResidueElem
+from .residue import ResidueElem
 from .zeta import (Composition, TruncationConfig, _truncated_frac, finite_mzv,
                    vadic_mzv, vadic_mzv_auto)
 
@@ -310,6 +310,15 @@ class Vadic:
     D: int | None = None  # None: auto-extend until stabilized
     star: bool = False
 
+    def __post_init__(self):
+        bound = self.N * self.v.degree() + 1
+        if self.D is not None and self.D < bound:
+            # below the bound the value is only a partial sum, and a zero
+            # there would read as a vacuous ValuationAtLeast(N)
+            raise InvalidEvaluator(
+                f"D={self.D} is below N*deg(v)+1 = {bound}, the least D at "
+                "which the v-adic value is exact")
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -383,10 +392,7 @@ def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
         return value, Verdict("Zero" if value.is_zero() else "NonZero")
     if isinstance(evaluator, Finite):
         return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
+    # a nonzero residue mod v^N has valuation < N
     if acc.is_zero():
-        return acc, Verdict("ValuationAtLeast", evaluator.N)
-    val = acc.valuation()
-    n = val.n if isinstance(val, AtLeast) else val
-    if n >= evaluator.N:
         return acc, Verdict("ValuationAtLeast", evaluator.N)
     return acc, Verdict("NonZero")

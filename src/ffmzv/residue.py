@@ -92,8 +92,9 @@ class ResidueElem:
                 f"incompatible moduli ({self.v})^{self.N} vs ({other.v})^{other.N}")
 
     def _wrap(self, rep: Poly) -> "ResidueElem":
-        return ResidueElem(self.v, self.N, rep % self._modulus,
-                           _check=False, _modulus=self._modulus)
+        """Same modulus; rep must already have degree < deg(v^N)."""
+        return ResidueElem(self.v, self.N, rep, _check=False,
+                           _modulus=self._modulus)
 
     def __add__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
@@ -108,13 +109,13 @@ class ResidueElem:
 
     def __mul__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
-        return self._wrap(self.rep * other.rep)
+        return self._wrap(self.rep * other.rep % self._modulus)
 
     def inv(self) -> "ResidueElem":
         g, u, _ = poly_ext_gcd(self.rep, self._modulus)
         if g.degree() != 0:
             raise NotInvertible(f"{self.rep} is not invertible mod ({self.v})^{self.N}")
-        return self._wrap(u)
+        return self._wrap(u % self._modulus)
 
     def __pow__(self, e: int) -> "ResidueElem":
         base = self.inv() if e < 0 else self

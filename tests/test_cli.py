@@ -105,7 +105,24 @@ def test_exit_code_2_on_usage_errors(capsys):
                  "--evaluator", "trunc", "--D", "2"]) == 2
     assert main(["compute", "--tuple", "(1,)", "--D", "2", "--v", "t+t"]) == 2
     assert main(["nonsense"]) == 2
+    for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1"):
+        assert main(["harmonic", "--ring", ring, "--checks", "1"]) == 2, ring
     capsys.readouterr()
+
+
+def test_vadic_partial_sum_never_passes(capsys):
+    # D below N*deg(v)+1 leaves an empty or partial sum: refused outright
+    code = main(["verify", "--family", "thm2", "--tuple", "(1,2,4)",
+                 "--evaluator", "vadic", "--v", "t", "--N", "2", "--D", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "N*deg(v)+1 = 3" in captured.err
+    # an explicit D whose partial sums have not stabilized is no PASS
+    code, out = run(capsys, "compute", "--tuple", "(1,2)", "--v", "t",
+                    "--N", "4", "--D", "2")
+    result = json.loads(out)
+    assert result["stabilized"] is False and result["passed"] is False
+    assert code == 1
 
 
 def test_exit_code_3_on_unwritable_path(capsys):
