@@ -7,7 +7,7 @@ from .errors import (CapTooSmall, DivisionByZero, DoublingLawViolated,
                      FFMzvError, InvalidEvaluator, InvalidFamilyInput,
                      InvalidFieldSpec, InvalidPrime, InvalidScope,
                      MixedModulus, NotInvertible, ParseError, ScopeMismatch)
-from .fields import FieldSpec, fq_inv
+from .fields import FieldSpec
 from .harmonic import (GFRing, MHTInstance, RationalRing, TruncatedPolyRing,
                        ZModRing, check_thmC, check_thmD, mht_sum,
                        random_instance)
@@ -16,7 +16,7 @@ from .poly import (Poly, irreducible_polys, is_irreducible, monic_polys,
                    parse_poly, poly_ext_gcd, poly_gcd)
 from .power_sums import (Exact, PowerSumKey, Residue, power_sum,
                          vanish_degree)
-from .ratfn import RationalFn, ratfn_normalize
+from .ratfn import RationalFn
 from .relations import (Finite, FormalRelation, Thm3Config, TruncatedExact,
                         Vadic, Verdict, evaluate_relation, gen_thm2, gen_thm3,
                         gen_thmA, gen_thmB, is_q_even, is_trivial_zero)

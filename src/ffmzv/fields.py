@@ -328,8 +328,3 @@ class FieldSpec:
                     cur = _fp_mod(cur, [0, 1], self.p) or [0]
             self._xpow = xp
         return self._xpow[j]
-
-
-def fq_inv(a: int, spec: FieldSpec) -> int:
-    """Multiplicative inverse in F_q.  Raises DivisionByZero on zero input."""
-    return spec.inv(a)

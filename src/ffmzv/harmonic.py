@@ -4,9 +4,11 @@ families.
 
 An MHT instance is a table h: D x S -> R over a finite strictly ordered
 index set D; the sum H(s_1,...,s_r) runs over strictly decreasing chains in
-D.  The identity checkers reuse the exact same term builders as the formal
-relation generators, so passing them over random rings exercises the
-combinatorics independently of any zeta arithmetic.
+D.  A zeta value is the instance h(d, s) = S_d(s), and both run through the
+same chain-sum DP (``zeta.chain_sum``).  The identity checkers reuse the
+term builders and the term evaluator of the formal relations, so passing
+them over random rings exercises the combinatorics independently of any
+zeta arithmetic.
 """
 
 from __future__ import annotations
@@ -15,13 +17,36 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .errors import DoublingLawViolated, InvalidFamilyInput
 from .fields import FieldSpec
-from .relations import doubling_identity_terms, signed_perm_identity_terms
+from .relations import (doubling_identity_terms, signed_perm_identity_terms,
+                        sum_of_products)
+from .zeta import chain_sum
 
 
-class ZModRing:
+class Ring:
+    """The ring protocol of the chain-sum DP and the term evaluator:
+    subclasses give zero/one/add/neg/mul and char; scale is built on them."""
+
+    def scale(self, a, c: int):
+        """c * a by repeated doubling (c any integer)."""
+        if self.char:
+            c %= self.char
+        if c < 0:
+            a, c = self.neg(a), -c
+        acc = self.zero()
+        base = a
+        while c:
+            if c & 1:
+                acc = self.add(acc, base)
+            base = self.add(base, base)
+            c >>= 1
+        return acc
+
+
+class ZModRing(Ring):
     """Integers mod m."""
 
     def __init__(self, m: int):
@@ -56,7 +81,7 @@ class ZModRing:
         return str(a)
 
 
-class TruncatedPolyRing:
+class TruncatedPolyRing(Ring):
     """F_p[x] mod x^k; elements are coefficient tuples of length k."""
 
     def __init__(self, p: int, k: int):
@@ -100,7 +125,7 @@ class TruncatedPolyRing:
         return ",".join(str(x) for x in a)
 
 
-class RationalRing:
+class RationalRing(Ring):
     """Arbitrary-precision rationals."""
 
     char = 0
@@ -128,7 +153,7 @@ class RationalRing:
         return str(a)
 
 
-class GFRing:
+class GFRing(Ring):
     """F_q via a FieldSpec; elements are element indices."""
 
     def __init__(self, spec: FieldSpec):
@@ -161,22 +186,6 @@ class GFRing:
         return str(a)
 
 
-def _scale(ring, a, c: int):
-    """c * a by repeated doubling (c any integer)."""
-    if ring.char:
-        c %= ring.char
-    if c < 0:
-        a, c = ring.neg(a), -c
-    acc = ring.zero()
-    base = a
-    while c:
-        if c & 1:
-            acc = ring.add(acc, base)
-        base = ring.add(base, base)
-        c >>= 1
-    return acc
-
-
 @dataclass(frozen=True)
 class MHTInstance:
     ring: object
@@ -192,6 +201,12 @@ class MHTInstance:
             for s in self.magma:
                 if (d, s) not in self.h:
                     raise ValueError(f"h undefined at ({d}, {s})")
+
+    @cached_property
+    def rows(self) -> dict:
+        """s -> [h(d, s) for d in index_set]; h must not change after use."""
+        return {s: [self.h[(d, s)] for d in self.index_set]
+                for s in self.magma}
 
     def to_json(self, seed=None) -> str:
         table = {f"{d},{s}": self.ring.to_str(self.h[(d, s)])
@@ -211,37 +226,8 @@ def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False):
     for e in s:
         if e not in inst.magma:
             raise ValueError(f"exponent {e} outside the instance magma")
-    ring = inst.ring
-    n = len(inst.index_set)
-    tail = [inst.h[(inst.index_set[i], s[-1])] for i in range(n)]
-    for j in range(len(s) - 2, -1, -1):
-        prefix = []
-        acc = ring.zero()
-        for i in range(n):
-            if star:
-                acc = ring.add(acc, tail[i])
-                prefix.append(acc)
-            else:
-                prefix.append(acc)
-                acc = ring.add(acc, tail[i])
-        tail = [ring.mul(inst.h[(inst.index_set[i], s[j])], prefix[i])
-                for i in range(n)]
-    total = ring.zero()
-    for x in tail:
-        total = ring.add(total, x)
-    return total
-
-
-def _eval_terms(inst: MHTInstance, terms):
-    ring = inst.ring
-    acc = ring.zero()
-    for coeff, factors in terms:
-        prod = ring.one()
-        for factor in factors:
-            if factor:
-                prod = ring.mul(prod, mht_sum(inst, factor))
-        acc = ring.add(acc, _scale(ring, prod, coeff))
-    return acc
+    return chain_sum(s, len(inst.index_set), star, inst.ring,
+                     inst.rows.__getitem__)
 
 
 def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
@@ -251,7 +237,8 @@ def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
         raise InvalidFamilyInput("entries must be distinct")
     if len(s) % 2 == 0:
         raise InvalidFamilyInput("depth must be odd")
-    residual = _eval_terms(inst, signed_perm_identity_terms(tuple(s)))
+    residual = sum_of_products(inst.ring, signed_perm_identity_terms(tuple(s)),
+                               partial(mht_sum, inst))
     return residual, residual == inst.ring.zero()
 
 
@@ -276,7 +263,8 @@ def check_thmD(inst: MHTInstance, pairs):
                 hs = inst.h[(d, s)]
                 if inst.h.get((d, 2 * s)) != ring.mul(hs, hs):
                     raise DoublingLawViolated(f"h({d},{2*s}) != h({d},{s})^2")
-    residual = _eval_terms(inst, doubling_identity_terms(tuple(pairs)))
+    residual = sum_of_products(ring, doubling_identity_terms(tuple(pairs)),
+                               partial(mht_sum, inst))
     return residual, residual == ring.zero()
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 from .errors import CapTooSmall, NotInvertible
@@ -23,7 +24,7 @@ from .fields import FieldSpec
 from .lfrac import LFrac, l_poly
 from .poly import Poly, monic_polys
 from .ratfn import RationalFn
-from .residue import ResidueElem, poly_inv_mod
+from .residue import ResidueElem
 
 
 @dataclass(frozen=True)
@@ -119,19 +120,12 @@ def _residue_sum(spec: FieldSpec, d: int, k: int, v: Poly, N: int,
         # every residue class mod v^N holds q^(d - N deg v) monics of degree d
         out = ResidueElem.zero(v, N)
     else:
-        modulus = v ** N
-        acc = ResidueElem.zero(v, N)
+        # v is checked and v^N computed once, here; each term is a^(-k)
+        out = zero = ResidueElem.zero(v, N)
         for a in monic_polys(spec, d):
             if coprime and (a % v).is_zero():
                 continue
-            if k > 0:
-                term = ResidueElem(v, N, poly_inv_mod(a, v, N)) ** k
-            elif k < 0:
-                term = ResidueElem(v, N, (a ** (-k)) % modulus)
-            else:
-                term = ResidueElem.one(v, N)
-            acc = acc + term
-        out = acc
+            out = out + zero.image(a) ** -k
     _residue_cache[key] = out
     if disk is not None:
         disk[disk_key] = out.rep.coeff_indices()
@@ -211,16 +205,14 @@ def _store_disk_cache(spec: FieldSpec, data: dict):
     path = _cache_path(spec)
     if path is None:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def clear_caches():
-    """Drop all in-memory memoization (test hook)."""
-    _exact_cache.clear()
-    _residue_cache.clear()
-    _vanish_cache.clear()
-    _disk_cache.clear()
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # one temp file per writer: concurrent writers never move each other's
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -102,8 +102,3 @@ class RationalFn:
 
     def __repr__(self):
         return f"RationalFn({str(self)!r})"
-
-
-def ratfn_normalize(num: Poly, den: Poly) -> RationalFn:
-    """Canonicalize num/den (coprime, monic denominator)."""
-    return RationalFn(num, den)

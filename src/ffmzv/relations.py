@@ -23,12 +23,11 @@ from itertools import permutations
 
 from .errors import InvalidEvaluator, InvalidFamilyInput
 from .fields import FieldSpec
-from .lfrac import LFrac
 from .poly import Poly
 from .power_sums import default_vanish_cap, vanish_degree
-from .residue import ResidueElem
-from .zeta import (Composition, TruncationConfig, _truncated_frac, finite_mzv,
-                   vadic_mzv, vadic_mzv_auto)
+from .zeta import (Composition, TruncationConfig, _truncated_frac, exact_bound,
+                   exact_ring, finite_mzv, residue_ring, vadic_mzv,
+                   vadic_mzv_auto)
 
 # -- generic term builders (integer coefficients, plain tuples) -----------------
 
@@ -291,10 +290,37 @@ def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
 # -- evaluation ------------------------------------------------------------------
 
 
+def sum_of_products(ring, terms, value):
+    """Sum of coeff * prod value(factor) over (coeff, factors) terms, in a
+    ring with the zero/one/add/mul/scale protocol; value is called once per
+    distinct factor."""
+    values = {}
+    acc = ring.zero()
+    for coeff, factors in terms:
+        prod = ring.one()
+        for factor in factors:
+            x = values.get(factor)
+            if x is None:
+                x = values[factor] = value(factor)
+            prod = ring.mul(prod, x)
+        acc = ring.add(acc, ring.scale(prod, coeff))
+    return acc
+
+
 @dataclass(frozen=True)
 class TruncatedExact:
     D: int
     star: bool = False
+
+    def ring(self, spec: FieldSpec):
+        return exact_ring(spec)
+
+    def value(self, s: Composition, spec: FieldSpec):
+        return _truncated_frac(self.D, s, self.star, spec)
+
+    def verdict(self, acc):
+        value = acc.to_ratfn()
+        return value, Verdict("Zero" if value.is_zero() else "NonZero")
 
 
 @dataclass(frozen=True)
@@ -302,22 +328,46 @@ class Finite:
     v: Poly
     star: bool = False
 
+    def ring(self, spec: FieldSpec):
+        return residue_ring(self.v, 1)
+
+    def value(self, s: Composition, spec: FieldSpec):
+        return finite_mzv(self.v, s, self.star, spec)
+
+    def verdict(self, acc):
+        return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
+
 
 @dataclass(frozen=True)
 class Vadic:
     v: Poly
     N: int
-    D: int | None = None  # None: auto-extend until stabilized
+    D: int | None = None  # None: exact_bound(v, N)
     star: bool = False
 
     def __post_init__(self):
-        bound = self.N * self.v.degree() + 1
+        bound = exact_bound(self.v, self.N)
         if self.D is not None and self.D < bound:
             # below the bound the value is only a partial sum, and a zero
             # there would read as a vacuous ValuationAtLeast(N)
             raise InvalidEvaluator(
                 f"D={self.D} is below N*deg(v)+1 = {bound}, the least D at "
                 "which the v-adic value is exact")
+
+    def ring(self, spec: FieldSpec):
+        return residue_ring(self.v, self.N)
+
+    def value(self, s: Composition, spec: FieldSpec):
+        if self.D is None:
+            return vadic_mzv_auto(self.v, s, self.N, self.star, spec).value
+        cfg = TruncationConfig(D=self.D, N=self.N, star=self.star)
+        return vadic_mzv(self.v, s, cfg, spec).value
+
+    def verdict(self, acc):
+        # a nonzero residue mod v^N has valuation < N
+        if acc.is_zero():
+            return acc, Verdict("ValuationAtLeast", self.N)
+        return acc, Verdict("NonZero")
 
 
 @dataclass(frozen=True)
@@ -335,64 +385,24 @@ class Verdict:
         return self.kind in ("Zero", "ValuationAtLeast")
 
 
-_residue_factor_cache: dict[tuple, ResidueElem] = {}
+_residue_factor_cache: dict[tuple, object] = {}  # (spec, evaluator, factor)
 
 
 def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec):
-    s = Composition(factor)
-    if isinstance(evaluator, TruncatedExact):
-        return _truncated_frac(evaluator.D, s, evaluator.star, spec)
-    if isinstance(evaluator, Finite):
-        key = (spec, evaluator.v, 1, None, evaluator.star, factor)
-        hit = _residue_factor_cache.get(key)
-        if hit is None:
-            hit = finite_mzv(evaluator.v, s, evaluator.star, spec)
-            _residue_factor_cache[key] = hit
-        return hit
-    if isinstance(evaluator, Vadic):
-        key = (spec, evaluator.v, evaluator.N, evaluator.D, evaluator.star, factor)
-        hit = _residue_factor_cache.get(key)
-        if hit is None:
-            if evaluator.D is None:
-                hit = vadic_mzv_auto(evaluator.v, s, evaluator.N,
-                                     evaluator.star, spec).value
-            else:
-                cfg = TruncationConfig(D=evaluator.D, N=evaluator.N,
-                                       star=evaluator.star)
-                hit = vadic_mzv(evaluator.v, s, cfg, spec).value
-            _residue_factor_cache[key] = hit
-        return hit
-    raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
+    key = (spec, evaluator, factor)
+    hit = _residue_factor_cache.get(key)
+    if hit is None:
+        hit = _residue_factor_cache[key] = evaluator.value(Composition(factor),
+                                                           spec)
+    return hit
 
 
 def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
     """Sum of coeff * product of factor values in the evaluator's carrier;
     returns (value, verdict)."""
-    spec = rel.spec
-    if isinstance(evaluator, TruncatedExact):
-        acc = LFrac.zero(spec)
-        one: object = LFrac.one(spec)
-    elif isinstance(evaluator, Finite):
-        acc = ResidueElem.zero(evaluator.v, 1)
-        one = ResidueElem.one(evaluator.v, 1)
-    elif isinstance(evaluator, Vadic):
-        acc = ResidueElem.zero(evaluator.v, evaluator.N)
-        one = ResidueElem.one(evaluator.v, evaluator.N)
-    else:
+    if not isinstance(evaluator, (TruncatedExact, Finite, Vadic)):
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
-
-    for coeff, factors in rel.terms:
-        prod = one
-        for factor in factors:
-            prod = prod * _factor_value(factor, evaluator, spec)
-        acc = acc + prod.scale_int(coeff)
-
-    if isinstance(evaluator, TruncatedExact):
-        value = acc.to_ratfn()
-        return value, Verdict("Zero" if value.is_zero() else "NonZero")
-    if isinstance(evaluator, Finite):
-        return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
-    # a nonzero residue mod v^N has valuation < N
-    if acc.is_zero():
-        return acc, Verdict("ValuationAtLeast", evaluator.N)
-    return acc, Verdict("NonZero")
+    spec = rel.spec
+    acc = sum_of_products(evaluator.ring(spec), rel.terms,
+                          lambda factor: _factor_value(factor, evaluator, spec))
+    return evaluator.verdict(acc)

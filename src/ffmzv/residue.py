@@ -96,6 +96,10 @@ class ResidueElem:
         return ResidueElem(self.v, self.N, rep, _check=False,
                            _modulus=self._modulus)
 
+    def image(self, x: Poly) -> "ResidueElem":
+        """The image of x in this element's ring, without re-checking v."""
+        return self._wrap(x % self._modulus)
+
     def __add__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
         return self._wrap(self.rep + other.rep)

@@ -18,7 +18,8 @@ from .linalg import FqMatrix, nullspace, stack_rank
 from .poly import Poly
 from .relations import (FormalRelation, Thm3Config, gen_thm2, gen_thm3,
                         is_q_even, is_trivial_zero)
-from .zeta import Composition, TruncationConfig, vadic_mzv, vadic_mzv_auto
+from .zeta import (Composition, TruncationConfig, exact_bound, vadic_mzv,
+                   vadic_mzv_auto)
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,9 @@ class SearchScope:
     weight_max: int
     depth_max: int
     N: int
-    D: int | None = None  # None: auto-extend per column until stabilized
+    D: int | None = None  # None: exact_bound(v, N)
     q_even_only: bool = True
     include_negatives: bool = False
-    d_cap: int = 40
 
     def __post_init__(self):
         if self.weight_max < 1:
@@ -81,8 +81,7 @@ def enumerate_tuples(scope: SearchScope) -> list[Composition]:
 
 def _value_vector(s: Composition, scope: SearchScope) -> ValueVector:
     if scope.D is None:
-        report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec,
-                                d_cap=scope.d_cap)
+        report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec)
     else:
         cfg = TruncationConfig(D=scope.D, N=scope.N)
         report = vadic_mzv(scope.v, s, cfg, scope.spec)
@@ -189,8 +188,9 @@ def compare_with_universal(found: list[FormalRelation],
     stacked = stack_rank(spec, found_vecs + uni_vecs)
     containment = stacked == dim_found
 
-    _, vectors = value_matrix(tuples, scope)
-    unstabilized = [str(vec.tuple) for vec in vectors if not vec.stabilized]
+    # every column is exact, or none is: stabilized means D >= the bound
+    exact = scope.D is None or scope.D >= exact_bound(scope.v, scope.N)
+    unstabilized = [] if exact else [str(s) for s in tuples]
 
     return {
         "scope": scope.describe(),

@@ -1,13 +1,18 @@
 """Zeta values built from power sums: truncated (exact in F_q(t)), finite
-(in F_v), and v-adic (in A/(v^N) with stabilization tracking).
+(in F_v), and v-adic (in A/(v^N), exact from truncation degree N*deg(v)+1).
 
-All flavors are nested sums of products of power sums over decreasing index
-chains; a single dynamic program over the top index serves every carrier.
+Every flavor is a multiple harmonic type sum with table h(d, s) = S_d(s) in
+a carrier ring; one dynamic program over the top index (``_top_terms``)
+serves every carrier and the generic rings of ``harmonic.mht_sum``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import accumulate
+from types import SimpleNamespace
 
 from .errors import ParseError
 from .fields import FieldSpec
@@ -15,7 +20,7 @@ from .lfrac import LFrac
 from .poly import Poly
 from .power_sums import _exact_frac, _residue_sum
 from .ratfn import RationalFn
-from .residue import AtLeast, ResidueElem
+from .residue import ResidueElem
 
 
 @dataclass(frozen=True)
@@ -77,22 +82,44 @@ class StabilizationReport:
     D: int
 
 
-def _top_terms(entries, D, star, zero, sd):
+def _op_ring(zero, one) -> SimpleNamespace:
+    """The zero/one/add/mul/scale ring protocol over elements with
+    arithmetic operators; the rings below are cached, so shared."""
+    return SimpleNamespace(zero=lambda: zero, one=lambda: one,
+                           add=operator.add, mul=operator.mul,
+                           scale=lambda a, c: a.scale_int(c))
+
+
+@cache
+def exact_ring(spec: FieldSpec) -> SimpleNamespace:
+    """F_q(t), on LFrac elements."""
+    return _op_ring(LFrac.zero(spec), LFrac.one(spec))
+
+
+@cache
+def residue_ring(v: Poly, N: int) -> SimpleNamespace:
+    """A/(v^N), on ResidueElem elements."""
+    zero = ResidueElem.zero(v, N)
+    return _op_ring(zero, zero.image(Poly.one(v.spec)))
+
+
+def _top_terms(entries, D, star, ring, row):
     """T[d] = sum over chains with top index exactly d of the product of
-    power sums; built depth-by-depth with prefix sums of the inner tail."""
-    tail = [sd(d, entries[-1]) for d in range(D)]
-    for j in range(len(entries) - 2, -1, -1):
-        prefix = []
-        acc = zero
-        for d in range(D):
-            if star:
-                acc = acc + tail[d]
-                prefix.append(acc)
-            else:
-                prefix.append(acc)
-                acc = acc + tail[d]
-        tail = [sd(d, entries[j]) * prefix[d] for d in range(D)]
+    table values, where row(k) lists h(0, k), ..., h(D-1, k); built
+    depth-by-depth from prefix sums of the inner tail."""
+    mul = ring.mul
+    tail = row(entries[-1])
+    for k in entries[-2::-1]:
+        sums = list(accumulate(tail, ring.add, initial=ring.zero()))
+        tail = list(map(mul, row(k), sums[1:] if star else sums))
     return tail
+
+
+def chain_sum(entries, D, star, ring, row):
+    """Sum over chains D > d_1 > ... > d_r >= 0 (weak inequalities when
+    star) of prod h(d_i, entries[i]), with row as in ``_top_terms``."""
+    return reduce(ring.add, _top_terms(entries, D, star, ring, row),
+                  ring.zero())
 
 
 _trunc_cache: dict[tuple, LFrac] = {}
@@ -101,15 +128,11 @@ _trunc_cache: dict[tuple, LFrac] = {}
 def _truncated_frac(D: int, s: Composition, star: bool, spec: FieldSpec) -> LFrac:
     key = (spec, D, s.entries, star)
     hit = _trunc_cache.get(key)
-    if hit is not None:
-        return hit
-    terms = _top_terms(s.entries, D, star, LFrac.zero(spec),
-                       lambda d, k: _exact_frac(spec, d, k))
-    out = LFrac.zero(spec)
-    for t in terms:
-        out = out + t
-    _trunc_cache[key] = out
-    return out
+    if hit is None:
+        hit = _trunc_cache[key] = chain_sum(
+            s.entries, D, star, exact_ring(spec),
+            lambda k: [_exact_frac(spec, d, k) for d in range(D)])
+    return hit
 
 
 def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> RationalFn:
@@ -123,53 +146,39 @@ def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> Ration
 def finite_mzv(v: Poly, s: Composition, star: bool, spec: FieldSpec) -> ResidueElem:
     """Sum over chains with d_1 < deg v, reduced mod v; element of F_v."""
     D = v.degree()
-    zero = ResidueElem.zero(v, 1)
-    terms = _top_terms(s.entries, D, star, zero,
-                       lambda d, k: _residue_sum(spec, d, k, v, 1, False))
-    out = zero
-    for t in terms:
-        out = out + t
-    return out
+    return chain_sum(s.entries, D, star, residue_ring(v, 1),
+                     lambda k: [_residue_sum(spec, d, k, v, 1, False)
+                                for d in range(D)])
+
+
+def exact_bound(v: Poly, N: int) -> int:
+    """N*deg(v) + 1, the least truncation degree at which the v-adic value
+    mod v^N is exact: a coprime power sum of degree d > N*deg(v) vanishes
+    mod v^N, and every chain with top index d_1 >= N*deg(v) + 1 has one as
+    its first factor."""
+    return N * v.degree() + 1
 
 
 def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
               spec: FieldSpec) -> StabilizationReport:
     """Partial v-adic sum through top degree cfg.D - 1 at precision cfg.N,
-    over coprime power sums, with stabilization metadata."""
-    D, N, star = cfg.D, cfg.N, cfg.star
-    zero = ResidueElem.zero(v, N)
-    top = _top_terms(s.entries, D, star, zero,
-                     lambda d, k: _residue_sum(spec, d, k, v, N, True))
-    value = zero
-    for t in top:
-        value = value + t
+    over coprime power sums; stabilized (exact) once cfg.D reaches
+    exact_bound(v, cfg.N)."""
+    D, N = cfg.D, cfg.N
+    ring = residue_ring(v, N)
+    top = _top_terms(s.entries, D, cfg.star, ring,
+                     lambda k: [_residue_sum(spec, d, k, v, N, True)
+                                for d in range(D)])
     stable_from = D
     while stable_from > 1 and top[stable_from - 1].is_zero():
         stable_from -= 1
-    stabilized = stable_from <= D - 1
-    if stabilized:
-        for d in (D - 2, D - 1):
-            if d < 0:
-                continue
-            for k in s.entries:
-                val = _residue_sum(spec, d, k, v, N, True).valuation()
-                bound = val.n if isinstance(val, AtLeast) else val
-                if bound < N:
-                    stabilized = False
-    return StabilizationReport(value=value, stable_from=stable_from,
-                               stabilized=stabilized, D=D)
+    return StabilizationReport(value=reduce(ring.add, top, ring.zero()),
+                               stable_from=stable_from,
+                               stabilized=D >= exact_bound(v, N), D=D)
 
 
 def vadic_mzv_auto(v: Poly, s: Composition, N: int, star: bool,
-                   spec: FieldSpec, d_cap: int = 40) -> StabilizationReport:
-    """vadic_mzv with D extended until stabilization or the cap.
-
-    Coprime power sums of degree d > N*deg(v) vanish mod v^N, so the partial
-    sums always freeze shortly past that bound; the cap is a safety net.
-    """
-    D = min(max(N * v.degree() + 3, len(s.entries) + 1), d_cap)
-    while True:
-        report = vadic_mzv(v, s, TruncationConfig(D=D, N=N, star=star), spec)
-        if report.stabilized or D >= d_cap:
-            return report
-        D = min(D + 2, d_cap)
+                   spec: FieldSpec) -> StabilizationReport:
+    """vadic_mzv at D = exact_bound(v, N), the least D where it is exact."""
+    cfg = TruncationConfig(D=exact_bound(v, N), N=N, star=star)
+    return vadic_mzv(v, s, cfg, spec)

@@ -125,6 +125,17 @@ def test_vadic_partial_sum_never_passes(capsys):
     assert code == 1
 
 
+def test_vadic_value_at_the_bound_passes(capsys):
+    # D = N*deg(v)+1 = 4 already gives the exact value, as the default D does
+    code, out = run(capsys, "compute", "--tuple", "(1,)", "--v", "t",
+                    "--N", "3", "--D", "4")
+    result = json.loads(out)
+    assert result["stabilized"] is True and result["passed"] is True
+    assert code == 0
+    code, out = run(capsys, "compute", "--tuple", "(1,)", "--v", "t", "--N", "3")
+    assert code == 0 and json.loads(out) == result
+
+
 def test_exit_code_3_on_unwritable_path(capsys):
     code = main(["primes", "--degree-max", "1",
                  "--out", "/nonexistent-dir/x.json"])

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ffmzv import (Exact, FieldSpec, Poly, PowerSumKey, RationalFn, Residue,
@@ -57,8 +63,9 @@ def test_coprime_matches_plain_below_deg_v():
 
 
 def test_residue_exact_compatibility():
-    for d in (0, 1, 2, 3):
-        for k in (1, 3, -2):
+    # d = 4 = N*deg(v) reaches monics that need reducing mod v^N
+    for d in (0, 1, 2, 3, 4):
+        for k in (1, 3, 0, -2):
             exact = power_sum(PowerSumKey(d, k, coprimality=T2), F2)
             res = power_sum(
                 PowerSumKey(d, k, carrier=Residue(T2, 4), coprimality=T2), F2)
@@ -92,6 +99,37 @@ def test_high_degree_coprime_sums_vanish_at_precision():
                 else:
                     total = total + ResidueElem.from_poly(a ** -k, V2, N)
             assert total.is_zero()
+
+
+_CACHE_WRITER = """
+from ffmzv import FieldSpec, PowerSumKey, Residue, parse_poly, power_sum
+spec = FieldSpec.parse("q=2")
+v = parse_poly("t", spec)
+for k in range(1, 80):
+    for d in range(4):
+        power_sum(PowerSumKey(d, k, carrier=Residue(v, 3), coprimality=v), spec)
+"""
+
+
+def test_concurrent_disk_cache_writers(tmp_path):
+    # every new entry rewrites the cache file, so two processes filling the
+    # same MZV_CACHE_DIR replace it hundreds of times side by side
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, MZV_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", _CACHE_WRITER], env=env,
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    files = os.listdir(tmp_path)
+    assert len(files) == 1 and files[0].endswith(".json"), files
+    with open(tmp_path / files[0]) as fh:
+        data = json.load(fh)
+    assert len(data) == 79 * 4
+    assert all(isinstance(rep, list) for rep in data.values())
 
 
 def test_key_rejects_mismatched_prime():

@@ -3,7 +3,7 @@ import pytest
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
-                   is_trivial_zero, parse_poly)
+                   ResidueElem, is_trivial_zero, parse_poly)
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput
 
 F2 = FieldSpec.parse("q=2")
@@ -100,6 +100,18 @@ def test_thm2_finite_verdict():
     for v in (T2, V2):
         _, verdict = evaluate_relation(rel, Finite(v))
         assert verdict.kind == "Zero", v
+
+
+def test_finite_and_vadic_n1_values_stay_apart():
+    # both live in A/(v): the finite value sums all monics of degree < deg v,
+    # the v-adic one coprime monics up to the bound, so they differ here and
+    # neither may be served from the other's cached factor values
+    rel = gen_thm2(Composition((1,)), F2)
+    for _ in range(2):
+        finite, _ = evaluate_relation(rel, Finite(T2))
+        vadic, verdict = evaluate_relation(rel, Vadic(T2, N=1))
+        assert finite == ResidueElem.one(T2, 1)
+        assert vadic.is_zero() and verdict.passed
 
 
 def test_invalid_evaluator():

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import (Composition, FieldSpec, Poly, PowerSumKey, RationalFn,
                    Residue, ResidueElem, TruncationConfig, finite_mzv,
-                   parse_composition, power_sum, truncated_mzv, vadic_mzv,
-                   vadic_mzv_auto, parse_poly)
+                   irreducible_polys, parse_composition, power_sum,
+                   truncated_mzv, vadic_mzv, vadic_mzv_auto, parse_poly)
 from ffmzv.errors import ParseError
 
 F2 = FieldSpec.parse("q=2")
@@ -125,3 +126,28 @@ def test_negative_entries_supported():
     rep = vadic_mzv_auto(T2, Composition((-1, 2)), 2, False, F2)
     assert rep.stabilized
     truncated_mzv(3, Composition((-3, 1)), False, F3)
+
+
+PRIMES = [(spec, v) for spec in (F2, F3) for d in (1, 2)
+          for v in irreducible_polys(spec, d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 3),
+       st.lists(st.integers(-3, 4).filter(bool), min_size=1, max_size=3),
+       st.booleans())
+def test_value_is_exact_at_the_bound(prime, N, entries, star):
+    # coprime power sums of degree > N*deg(v) vanish mod v^N, so the value
+    # at D = N*deg(v)+1 is already the v-adic value mod v^N
+    spec, v = prime
+    s = Composition(entries)
+    bound = N * v.degree() + 1
+    at = vadic_mzv(v, s, TruncationConfig(bound, N, star), spec)
+    past = vadic_mzv(v, s, TruncationConfig(bound + 3, N, star), spec)
+    auto = vadic_mzv_auto(v, s, N, star, spec)
+    assert at.stabilized and past.stabilized and auto.D == bound
+    assert at.value == past.value == auto.value
+    assert at.stable_from == past.stable_from == auto.stable_from
+    if bound > 1:
+        below = vadic_mzv(v, s, TruncationConfig(bound - 1, N, star), spec)
+        assert not below.stabilized
