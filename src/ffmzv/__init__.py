@@ -14,13 +14,13 @@ from .harmonic import (GFRing, MHTInstance, RationalRing, TruncatedPolyRing,
 from .linalg import FqMatrix, nullspace, stack_rank
 from .poly import (Poly, irreducible_polys, is_irreducible, monic_polys,
                    parse_poly, poly_ext_gcd, poly_gcd)
-from .power_sums import (Exact, PowerSumKey, Residue, power_sum,
-                         vanish_degree)
+from .power_sums import vanish_degree
 from .ratfn import RationalFn
 from .relations import (Finite, FormalRelation, Thm3Config, TruncatedExact,
                         Vadic, Verdict, evaluate_relation, gen_thm2, gen_thm3,
                         gen_thmA, gen_thmB, is_q_even, is_trivial_zero)
-from .residue import AtLeast, ResidueElem, poly_inv_mod, v_valuation
+from .residue import (AtLeast, ResidueElem, ResidueRing, poly_inv_mod,
+                      v_valuation)
 from .search import (SearchScope, ValueVector, compare_with_universal,
                      enumerate_tuples, find_relations, value_matrix)
 from .zeta import (Composition, StabilizationReport, TruncationConfig,

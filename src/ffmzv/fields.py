@@ -93,7 +93,7 @@ def _fp_irreducible(mod, p) -> bool:
     return True
 
 
-def _default_modulus(p: int, f: int) -> tuple[int, ...]:
+def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree f over F_p."""
     for idx in range(p ** f):
         cand = []
@@ -110,7 +110,7 @@ def _default_modulus(p: int, f: int) -> tuple[int, ...]:
 _MOD_TERM = re.compile(r"^(?:(\d+)\*?)?(?:x(?:\^(\d+))?)?$")
 
 
-def _parse_modulus(text: str, p: int) -> tuple[int, ...]:
+def _parse_mod_poly(text: str, p: int) -> tuple[int, ...]:
     coeffs: dict[int, int] = {}
     for raw in text.replace("-", "+-").split("+"):
         term = raw.strip()
@@ -151,7 +151,7 @@ class FieldSpec:
             modulus = (0, 1)  # placeholder, never used
         else:
             if modulus is None:
-                modulus = _default_modulus(p, f)
+                modulus = _smallest_irreducible(p, f)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != f + 1 or modulus[-1] != 1:
                 raise InvalidFieldSpec("modulus must be monic of degree f")
@@ -202,7 +202,7 @@ class FieldSpec:
         if q is None:
             raise ParseError("field spec must set q")
         p, f = _split_prime_power(q)
-        modulus = _parse_modulus(modulus_text, p) if (modulus_text and f > 1) else None
+        modulus = _parse_mod_poly(modulus_text, p) if (modulus_text and f > 1) else None
         return cls(p, f, modulus)
 
     def modulus_string(self) -> str:

@@ -1,9 +1,9 @@
 """Carlitz power sums over monic polynomials, exact and at v-adic precision.
 
-S_d(k) sums a^(-k) over all monic a of degree d; the coprime variant skips
-multiples of a fixed prime v.  Exact values live in F_q(t); residue values
-live in A/(v^N).  Everything is memoized per key -- the nested zeta sums
-re-read these heavily.
+S_d(k) sums a^(-k) over all monic a of degree d and lives in F_q(t).  At a
+prime v the sums are the coprime variant S~_d(k), which skips the multiples
+of v, and live in A/(v^N).  Everything is memoized per key -- the nested
+zeta sums re-read these heavily.
 
 A counting shortcut applies at finite precision: monic polynomials of degree
 d >= N*deg(v) are equidistributed over the residue classes mod v^N with
@@ -17,41 +17,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 
-from .errors import CapTooSmall, NotInvertible
+from .errors import CapTooSmall
 from .fields import FieldSpec
 from .lfrac import LFrac, l_poly
 from .poly import Poly, monic_polys
-from .ratfn import RationalFn
-from .residue import ResidueElem
-
-
-@dataclass(frozen=True)
-class Exact:
-    """Carrier marker: compute in F_q(t)."""
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Carrier marker: compute in A/(v^N)."""
-    v: Poly
-    N: int
-
-
-@dataclass(frozen=True)
-class PowerSumKey:
-    d: int
-    k: int
-    carrier: Exact | Residue = field(default_factory=Exact)
-    coprimality: Poly | None = None
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("degree must be >= 0")
-        if (self.coprimality is not None and isinstance(self.carrier, Residue)
-                and self.carrier.v != self.coprimality):
-            raise ValueError("coprimality prime must match the residue carrier prime")
+from .residue import ResidueElem, ResidueRing
 
 
 _exact_cache: dict[tuple, LFrac] = {}
@@ -60,85 +31,61 @@ _vanish_cache: dict[tuple, Poly] = {}
 _disk_cache: dict[str, dict] = {}
 
 
-def _exact_frac(spec: FieldSpec, d: int, k: int, coprime_to: Poly | None = None) -> LFrac:
-    """S_d(k) (or the coprime variant) as an LFrac."""
-    key = (spec, d, k, coprime_to)
+def _exact_frac(spec: FieldSpec, d: int, k: int) -> LFrac:
+    """S_d(k) as an LFrac."""
+    key = (spec, d, k)
     hit = _exact_cache.get(key)
     if hit is not None:
         return hit
     if k == 0:
-        count = spec.q ** d if coprime_to is None else _coprime_count(spec, d, coprime_to)
-        out = LFrac(spec, Poly.const(spec, spec.from_int(count)), ())
+        out = LFrac(spec, Poly.const(spec, spec.from_int(spec.q ** d)), ())
     elif k < 0:
         acc = Poly.zero(spec)
         for a in monic_polys(spec, d):
-            if coprime_to is not None and (a % coprime_to).is_zero():
-                continue
             acc = acc + a ** (-k)
         out = LFrac.from_poly(acc)
     else:
         ld = l_poly(spec, d)
         acc = Poly.zero(spec)
         for a in monic_polys(spec, d):
-            if coprime_to is not None and (a % coprime_to).is_zero():
-                continue
             acc = acc + ld.exact_div(a) ** k
         out = LFrac(spec, acc, tuple(0 for _ in range(d - 1)) + (k,) if d else ())
     _exact_cache[key] = out
     return out
 
 
-def _coprime_count(spec: FieldSpec, d: int, v: Poly) -> int:
-    dv = v.degree()
-    if d < dv:
-        return spec.q ** d
-    return spec.q ** d - spec.q ** (d - dv)
-
-
-def _residue_sum(spec: FieldSpec, d: int, k: int, v: Poly, N: int,
-                 coprime: bool) -> ResidueElem:
-    key = (spec, d, k, v, N, coprime)
+def _residue_sum(spec: FieldSpec, d: int, k: int, v: Poly, N: int) -> ResidueElem:
+    """The coprime power sum S~_d(k) (monics of degree d prime to v) in
+    A/(v^N)."""
+    key = (spec, d, k, v, N)
     hit = _residue_cache.get(key)
     if hit is not None:
         return hit
+    ring = ResidueRing(v, N)
     disk = _load_disk_cache(spec)
     disk_key = None
     if disk is not None:
-        disk_key = f"{v}|{N}|{d}|{k}|{int(coprime)}"
+        # the trailing 1 marks a coprime sum; keys ending in |0 (sums over
+        # every monic, written by older versions) are never read
+        disk_key = f"{v}|{N}|{d}|{k}|1"
         stored = disk.get(disk_key)
         if stored is not None:
-            out = ResidueElem(v, N, Poly.from_indices(spec, stored))
+            out = ring.image(Poly.from_indices(spec, stored))
             _residue_cache[key] = out
             return out
 
-    dv = v.degree()
-    if k > 0 and not coprime and d >= dv:
-        raise NotInvertible(
-            "positive exponent over all monics includes multiples of v; "
-            "set coprimality or keep d < deg v")
-    if d > N * dv:
-        # every residue class mod v^N holds q^(d - N deg v) monics of degree d
-        out = ResidueElem.zero(v, N)
-    else:
-        # v is checked and v^N computed once, here; each term is a^(-k)
-        out = zero = ResidueElem.zero(v, N)
+    out = ring.zero()
+    # every residue class mod v^N holds q^(d - N deg v) monics of degree
+    # d > N deg v, so those sums vanish
+    if d <= N * v.degree():
         for a in monic_polys(spec, d):
-            if coprime and (a % v).is_zero():
-                continue
-            out = out + zero.image(a) ** -k
+            if not (a % v).is_zero():
+                out = out + ring.image(a) ** -k
     _residue_cache[key] = out
     if disk is not None:
         disk[disk_key] = out.rep.coeff_indices()
         _store_disk_cache(spec, disk)
     return out
-
-
-def power_sum(key: PowerSumKey, spec: FieldSpec) -> RationalFn | ResidueElem:
-    """The power sum named by key, as exact RationalFn or ResidueElem."""
-    if isinstance(key.carrier, Residue):
-        return _residue_sum(spec, key.d, key.k, key.carrier.v, key.carrier.N,
-                            key.coprimality is not None)
-    return _exact_frac(spec, key.d, key.k, key.coprimality).to_ratfn()
 
 
 def vanish_degree(m: int, spec: FieldSpec, cap: int) -> int:
@@ -157,7 +104,14 @@ def vanish_degree(m: int, spec: FieldSpec, cap: int) -> int:
 
 
 def default_vanish_cap(m: int, spec: FieldSpec) -> int:
-    return 2 * m * spec.f + 4
+    """floor(l_q(m)/(q-1)) + 1 with l_q(m) the base-q digit sum of m: by
+    Carlitz, S_d(-m) = 0 for every d > l_q(m)/(q-1) (Thakur, Function Field
+    Arithmetic, 2004), so the cap is the least degree certified to vanish."""
+    digits, n = 0, m
+    while n:
+        n, r = divmod(n, spec.q)
+        digits += r
+    return digits // (spec.q - 1) + 1
 
 
 def _power_poly_sum(spec: FieldSpec, d: int, m: int) -> Poly:

@@ -25,9 +25,9 @@ from .errors import InvalidEvaluator, InvalidFamilyInput
 from .fields import FieldSpec
 from .poly import Poly
 from .power_sums import default_vanish_cap, vanish_degree
+from .residue import ResidueRing
 from .zeta import (Composition, TruncationConfig, _truncated_frac, exact_bound,
-                   exact_ring, finite_mzv, residue_ring, vadic_mzv,
-                   vadic_mzv_auto)
+                   exact_ring, finite_mzv, vadic_mzv, vadic_mzv_auto)
 
 # -- generic term builders (integer coefficients, plain tuples) -----------------
 
@@ -312,6 +312,12 @@ class TruncatedExact:
     D: int
     star: bool = False
 
+    def __post_init__(self):
+        if self.D < 1:
+            # no chain has a top index below 0: the value would be an
+            # empty sum, and a vacuous Zero
+            raise InvalidEvaluator(f"D={self.D} must be >= 1")
+
     def ring(self, spec: FieldSpec):
         return exact_ring(spec)
 
@@ -329,7 +335,7 @@ class Finite:
     star: bool = False
 
     def ring(self, spec: FieldSpec):
-        return residue_ring(self.v, 1)
+        return ResidueRing(self.v, 1)
 
     def value(self, s: Composition, spec: FieldSpec):
         return finite_mzv(self.v, s, self.star, spec)
@@ -355,7 +361,7 @@ class Vadic:
                 "which the v-adic value is exact")
 
     def ring(self, spec: FieldSpec):
-        return residue_ring(self.v, self.N)
+        return ResidueRing(self.v, self.N)
 
     def value(self, s: Composition, spec: FieldSpec):
         if self.D is None:

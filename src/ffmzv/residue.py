@@ -1,11 +1,13 @@
 """Residue-ring arithmetic in A/(v^N) for a monic prime v, at fixed precision N.
 
-Elements carry their modulus inline; combining elements with different (v, N)
+A ResidueRing holds v, N and v^N, once per (v, N); each element holds its
+ring and a reduced representative.  Combining elements of different rings
 is a hard error, never a silent coercion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidPrime, MixedModulus, NotInvertible
@@ -33,72 +35,86 @@ def _check_prime(v: Poly):
 
 def poly_inv_mod(a: Poly, v: Poly, N: int) -> Poly:
     """Inverse of a modulo v^N; requires gcd(a, v) = 1."""
-    _check_prime(v)
-    if N < 1:
-        raise ValueError("precision must be >= 1")
-    mod = v ** N
-    a = a % mod
-    g, u, _ = poly_ext_gcd(a, mod)
-    if g.degree() != 0:
-        raise NotInvertible(f"{a} is divisible by {v}")
-    return u % mod
+    return ResidueRing(v, N).image(a).inv().rep
 
 
-class ResidueElem:
-    """Element of A/(v^N), with rep reduced mod v^N."""
+class ResidueRing:
+    """A/(v^N) for a monic prime v and precision N >= 1, speaking the
+    zero/one/add/mul/scale ring protocol.
 
-    __slots__ = ("v", "N", "rep", "_modulus")
+    There is one instance per (v, N): the first call checks v and computes
+    v^N, later calls return the same ring, so elements compare rings by
+    identity."""
 
-    def __init__(self, v: Poly, N: int, rep: Poly, _check: bool = True,
-                 _modulus: Poly | None = None):
-        if _check:
+    _rings: dict[tuple[Poly, int], "ResidueRing"] = {}
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+
+    def __new__(cls, v: Poly, N: int):
+        ring = cls._rings.get((v, N))
+        if ring is None:
             _check_prime(v)
             if N < 1:
                 raise ValueError("precision must be >= 1")
-        self.v = v
-        self.N = N
-        self._modulus = _modulus if _modulus is not None else v ** N
-        self.rep = rep % self._modulus if _check else rep
+            ring = super().__new__(cls)
+            ring.v, ring.N, ring.modulus = v, N, v ** N
+            ring._zero = ResidueElem(ring, Poly.zero(v.spec))
+            ring._one = ResidueElem(ring, Poly.one(v.spec))
+            # a ring stored meanwhile by another thread wins
+            ring = cls._rings.setdefault((v, N), ring)
+        return ring
+
+    def zero(self) -> "ResidueElem":
+        return self._zero
+
+    def one(self) -> "ResidueElem":
+        return self._one
+
+    @staticmethod
+    def scale(a: "ResidueElem", c: int) -> "ResidueElem":
+        return a.scale_int(c)
+
+    def image(self, x: Poly) -> "ResidueElem":
+        """The image of a polynomial."""
+        return ResidueElem(self, x % self.modulus)
+
+    def from_ratfn(self, x: RationalFn) -> "ResidueElem":
+        """The image of a rational function whose denominator is prime to v."""
+        return self.image(x.num) * self.image(x.den).inv()
+
+
+class ResidueElem:
+    """Element of a ResidueRing, with rep reduced mod v^N."""
+
+    __slots__ = ("ring", "rep")
+
+    def __init__(self, ring: ResidueRing, rep: Poly):
+        self.ring = ring
+        self.rep = rep
+
+    @property
+    def v(self) -> Poly:
+        return self.ring.v
+
+    @property
+    def N(self) -> int:
+        return self.ring.N
 
     @property
     def spec(self) -> FieldSpec:
-        return self.v.spec
-
-    @classmethod
-    def from_poly(cls, x: Poly, v: Poly, N: int) -> "ResidueElem":
-        return cls(v, N, x)
-
-    @classmethod
-    def zero(cls, v: Poly, N: int) -> "ResidueElem":
-        return cls(v, N, Poly.zero(v.spec))
-
-    @classmethod
-    def one(cls, v: Poly, N: int) -> "ResidueElem":
-        return cls(v, N, Poly.one(v.spec))
-
-    @classmethod
-    def from_ratfn(cls, x: RationalFn, v: Poly, N: int) -> "ResidueElem":
-        """Reduce a rational function mod v^N; denominator must be coprime to v."""
-        num = cls(v, N, x.num)
-        den_inv = poly_inv_mod(x.den, v, N)
-        return num * cls(v, N, den_inv)
+        return self.ring.v.spec
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
     def _join(self, other: "ResidueElem"):
-        if self.v != other.v or self.N != other.N:
+        if self.ring is not other.ring:
             raise MixedModulus(
                 f"incompatible moduli ({self.v})^{self.N} vs ({other.v})^{other.N}")
 
     def _wrap(self, rep: Poly) -> "ResidueElem":
-        """Same modulus; rep must already have degree < deg(v^N)."""
-        return ResidueElem(self.v, self.N, rep, _check=False,
-                           _modulus=self._modulus)
-
-    def image(self, x: Poly) -> "ResidueElem":
-        """The image of x in this element's ring, without re-checking v."""
-        return self._wrap(x % self._modulus)
+        """Same ring; rep must already have degree < deg(v^N)."""
+        return ResidueElem(self.ring, rep)
 
     def __add__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
@@ -113,19 +129,18 @@ class ResidueElem:
 
     def __mul__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
-        return self._wrap(self.rep * other.rep % self._modulus)
+        return self._wrap(self.rep * other.rep % self.ring.modulus)
 
     def inv(self) -> "ResidueElem":
-        g, u, _ = poly_ext_gcd(self.rep, self._modulus)
+        g, u, _ = poly_ext_gcd(self.rep, self.ring.modulus)
         if g.degree() != 0:
             raise NotInvertible(f"{self.rep} is not invertible mod ({self.v})^{self.N}")
-        return self._wrap(u % self._modulus)
+        return self._wrap(u % self.ring.modulus)
 
     def __pow__(self, e: int) -> "ResidueElem":
         base = self.inv() if e < 0 else self
         e = abs(e)
-        out = ResidueElem(self.v, self.N, Poly.one(self.spec),
-                          _check=False, _modulus=self._modulus)
+        out = self.ring.one()
         while e:
             if e & 1:
                 out = out * base
@@ -140,7 +155,7 @@ class ResidueElem:
         """The image in A/(v^M) for M <= N."""
         if M > self.N:
             raise ValueError("cannot raise precision")
-        return ResidueElem(self.v, M, self.rep)
+        return ResidueRing(self.v, M).image(self.rep)
 
     def valuation(self) -> int | AtLeast:
         if self.rep.is_zero():
@@ -156,7 +171,7 @@ class ResidueElem:
     def __eq__(self, other):
         if not isinstance(other, ResidueElem):
             return NotImplemented
-        return self.v == other.v and self.N == other.N and self.rep == other.rep
+        return self.ring is other.ring and self.rep == other.rep
 
     def __hash__(self):
         return hash((self.v, self.N, self.rep))

@@ -2,8 +2,10 @@
 (in F_v), and v-adic (in A/(v^N), exact from truncation degree N*deg(v)+1).
 
 Every flavor is a multiple harmonic type sum with table h(d, s) = S_d(s) in
-a carrier ring; one dynamic program over the top index (``_top_terms``)
-serves every carrier and the generic rings of ``harmonic.mht_sum``.
+a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
+the others (a finite value is the v-adic partial sum at N = 1 and
+D = deg v).  One dynamic program over the top index (``_top_terms``) serves
+every carrier and the generic rings of ``harmonic.mht_sum``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .lfrac import LFrac
 from .poly import Poly
 from .power_sums import _exact_frac, _residue_sum
 from .ratfn import RationalFn
-from .residue import ResidueElem
+from .residue import ResidueElem, ResidueRing
 
 
 @dataclass(frozen=True)
@@ -82,25 +84,14 @@ class StabilizationReport:
     D: int
 
 
-def _op_ring(zero, one) -> SimpleNamespace:
-    """The zero/one/add/mul/scale ring protocol over elements with
-    arithmetic operators; the rings below are cached, so shared."""
+@cache
+def exact_ring(spec: FieldSpec) -> SimpleNamespace:
+    """F_q(t), on LFrac elements, in the zero/one/add/mul/scale ring
+    protocol; cached, so shared."""
+    zero, one = LFrac.zero(spec), LFrac.one(spec)
     return SimpleNamespace(zero=lambda: zero, one=lambda: one,
                            add=operator.add, mul=operator.mul,
                            scale=lambda a, c: a.scale_int(c))
-
-
-@cache
-def exact_ring(spec: FieldSpec) -> SimpleNamespace:
-    """F_q(t), on LFrac elements."""
-    return _op_ring(LFrac.zero(spec), LFrac.one(spec))
-
-
-@cache
-def residue_ring(v: Poly, N: int) -> SimpleNamespace:
-    """A/(v^N), on ResidueElem elements."""
-    zero = ResidueElem.zero(v, N)
-    return _op_ring(zero, zero.image(Poly.one(v.spec)))
 
 
 def _top_terms(entries, D, star, ring, row):
@@ -144,11 +135,10 @@ def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> Ration
 
 
 def finite_mzv(v: Poly, s: Composition, star: bool, spec: FieldSpec) -> ResidueElem:
-    """Sum over chains with d_1 < deg v, reduced mod v; element of F_v."""
-    D = v.degree()
-    return chain_sum(s.entries, D, star, residue_ring(v, 1),
-                     lambda k: [_residue_sum(spec, d, k, v, 1, False)
-                                for d in range(D)])
+    """Sum over chains with d_1 < deg v, reduced mod v; element of F_v.  It
+    is the v-adic partial sum at N = 1 and D = deg v: no monic of degree
+    below deg v is a multiple of v."""
+    return vadic_mzv(v, s, TruncationConfig(v.degree(), 1, star), spec).value
 
 
 def exact_bound(v: Poly, N: int) -> int:
@@ -164,17 +154,19 @@ def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
     """Partial v-adic sum through top degree cfg.D - 1 at precision cfg.N,
     over coprime power sums; stabilized (exact) once cfg.D reaches
     exact_bound(v, cfg.N)."""
-    D, N = cfg.D, cfg.N
-    ring = residue_ring(v, N)
+    N = cfg.N
+    ring = ResidueRing(v, N)
+    # top terms from exact_bound(v, N) on are zero: sum only up to it
+    D = min(cfg.D, exact_bound(v, N))
     top = _top_terms(s.entries, D, cfg.star, ring,
-                     lambda k: [_residue_sum(spec, d, k, v, N, True)
+                     lambda k: [_residue_sum(spec, d, k, v, N)
                                 for d in range(D)])
     stable_from = D
     while stable_from > 1 and top[stable_from - 1].is_zero():
         stable_from -= 1
     return StabilizationReport(value=reduce(ring.add, top, ring.zero()),
                                stable_from=stable_from,
-                               stabilized=D >= exact_bound(v, N), D=D)
+                               stabilized=cfg.D >= exact_bound(v, N), D=cfg.D)
 
 
 def vadic_mzv_auto(v: Poly, s: Composition, N: int, star: bool,

@@ -15,14 +15,15 @@ from fractions import Fraction
 import pytest
 
 from ffmzv import (Composition, FieldSpec, Finite, GFRing, MHTInstance,
-                   PowerSumKey, RationalFn, RationalRing, SearchScope,
-                   Thm3Config, TruncatedExact, TruncatedPolyRing, Vadic,
-                   ZModRing, check_thmC, check_thmD, compare_with_universal,
+                   RationalFn, RationalRing, SearchScope, Thm3Config,
+                   TruncatedExact, TruncatedPolyRing, Vadic, ZModRing,
+                   check_thmC, check_thmD, compare_with_universal,
                    enumerate_tuples, evaluate_relation, find_relations,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, irreducible_polys,
-                   is_q_even, parse_poly, power_sum, random_instance)
+                   is_q_even, parse_poly, random_instance)
 from ffmzv.cli import main as cli_main
 from ffmzv.errors import InvalidFamilyInput
+from ffmzv.power_sums import _exact_frac
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -61,12 +62,12 @@ def test_criterion_1_power_sum_oracle(criterion):
                     expected = RationalFn.zero(spec)
                     for a in monics:
                         expected = expected + _ratfn_pow(a, -k, spec)
-                    assert power_sum(PowerSumKey(d, k), spec) == expected, \
+                    assert _exact_frac(spec, d, k).to_ratfn() == expected, \
                         (spec.q, d, k)
         t = parse_poly("t", F2)
-        assert power_sum(PowerSumKey(1, 1), F2) == \
+        assert _exact_frac(F2, 1, 1).to_ratfn() == \
             RationalFn(parse_poly("1", F2), t * t + t)
-        assert power_sum(PowerSumKey(0, -3), F3) == RationalFn.one(F3)
+        assert _exact_frac(F3, 0, -3).to_ratfn() == RationalFn.one(F3)
 
 
 def _monics(spec, d):

@@ -104,6 +104,9 @@ def test_exit_code_2_on_usage_errors(capsys):
     assert main(["verify", "--family", "thm2", "--tuple", "(2,2,4)",
                  "--evaluator", "trunc", "--D", "2"]) == 2
     assert main(["compute", "--tuple", "(1,)", "--D", "2", "--v", "t+t"]) == 2
+    for D in ("0", "-3"):  # an empty truncated sum is no PASS
+        assert main(["verify", "--family", "thm2", "--tuple", "(1,2,3)",
+                     "--evaluator", "trunc", "--D", D]) == 2, D
     assert main(["nonsense"]) == 2
     for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1"):
         assert main(["harmonic", "--ring", ring, "--checks", "1"]) == 2, ring

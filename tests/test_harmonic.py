@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ffmzv import (Composition, FieldSpec, GFRing, MHTInstance, PowerSumKey,
-                   RationalFn, RationalRing, TruncatedPolyRing, ZModRing,
-                   check_thmC, check_thmD, mht_sum, power_sum,
-                   random_instance, truncated_mzv)
+from ffmzv import (Composition, FieldSpec, GFRing, MHTInstance, RationalFn,
+                   RationalRing, TruncatedPolyRing, ZModRing, check_thmC,
+                   check_thmD, mht_sum, random_instance, truncated_mzv)
 from ffmzv.errors import DoublingLawViolated, InvalidFamilyInput
+from ffmzv.power_sums import _exact_frac
 
 F2 = FieldSpec.parse("q=2")
 
@@ -75,7 +75,7 @@ def test_power_sum_specialization_coherence():
             return a * b
 
     D = 4
-    h = {(d, s): power_sum(PowerSumKey(d, s), F2)
+    h = {(d, s): _exact_frac(F2, d, s).to_ratfn()
          for d in range(D) for s in (1, 2, 3)}
     inst = MHTInstance(ring=RatRing(), index_set=tuple(range(D)),
                        magma=(1, 2, 3), h=h)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmzv import (FieldSpec, Poly, ResidueElem, is_irreducible, monic_polys,
+from ffmzv import (FieldSpec, Poly, ResidueRing, is_irreducible, monic_polys,
                    parse_poly, poly_ext_gcd, poly_gcd)
 from ffmzv.poly import irreducible_polys, poly_str
 
@@ -322,8 +322,8 @@ def test_reduce_precision_is_a_ring_homomorphism(prime, N, data):
     v = parse_poly(text, spec)
     M = data.draw(st.integers(1, N))
     max_deg = N * v.degree() + 3
-    x, y = (ResidueElem.from_poly(P(spec, data.draw(coeff_lists(spec, max_deg))), v, N)
-            for _ in range(2))
+    x, y = (ResidueRing(v, N).image(
+        P(spec, data.draw(coeff_lists(spec, max_deg)))) for _ in range(2))
 
     def red(z):
         return z.reduce_precision(M)
@@ -333,7 +333,7 @@ def test_reduce_precision_is_a_ring_homomorphism(prime, N, data):
     assert red(-x) == -red(x)
     assert red(x * y) == red(x) * red(y)
     assert red(x.scale_int(2)) == red(x).scale_int(2)
-    assert red(ResidueElem.one(v, N)) == ResidueElem.one(v, M)
+    assert red(ResidueRing(v, N).one()) == ResidueRing(v, M).one()
     # arithmetic keeps representatives reduced
     for z in (x + y, x - y, -x, x * y, x.scale_int(2)):
         assert z.rep.degree() < N * v.degree()

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ffmzv import (Exact, FieldSpec, Poly, PowerSumKey, RationalFn, Residue,
-                   ResidueElem, monic_polys, parse_poly, power_sum,
-                   vanish_degree)
-from ffmzv.errors import CapTooSmall, NotInvertible
+from ffmzv import (FieldSpec, Poly, RationalFn, ResidueRing, monic_polys,
+                   parse_poly, vanish_degree)
+from ffmzv.errors import CapTooSmall
+from ffmzv.power_sums import _exact_frac, _residue_sum, default_vanish_cap
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -28,13 +28,13 @@ def literal_power_sum(spec, d, k, coprime_to=None):
 
 def test_pinned_values():
     one = RationalFn.one(F2)
-    assert power_sum(PowerSumKey(0, 5), F2) == one
-    assert power_sum(PowerSumKey(0, -3), F3) == RationalFn.one(F3)
+    assert _exact_frac(F2, 0, 5).to_ratfn() == one
+    assert _exact_frac(F3, 0, -3).to_ratfn() == RationalFn.one(F3)
     t = Poly.t(F2)
-    assert power_sum(PowerSumKey(1, 1), F2) == RationalFn(Poly.one(F2), t * t + t)
-    assert power_sum(PowerSumKey(1, -1), F2) == one
-    assert power_sum(PowerSumKey(2, -1), F2) == RationalFn.zero(F2)
-    assert power_sum(PowerSumKey(1, 1, coprimality=T2), F2) == \
+    assert _exact_frac(F2, 1, 1).to_ratfn() == RationalFn(Poly.one(F2), t * t + t)
+    assert _exact_frac(F2, 1, -1).to_ratfn() == one
+    assert _exact_frac(F2, 2, -1).to_ratfn() == RationalFn.zero(F2)
+    assert literal_power_sum(F2, 1, 1, coprime_to=T2) == \
         RationalFn(Poly.one(F2), t + Poly.one(F2))
 
 
@@ -42,42 +42,23 @@ def test_oracle_equivalence_small_range():
     for spec in (F2, F3):
         for d in range(4):
             for k in range(-6, 7):
-                assert power_sum(PowerSumKey(d, k), spec) == \
+                assert _exact_frac(spec, d, k).to_ratfn() == \
                     literal_power_sum(spec, d, k), (spec.q, d, k)
 
 
 def test_char_p_count():
     for spec in (F2, F3):
         for d in (1, 2, 3):
-            assert power_sum(PowerSumKey(d, 0), spec).is_zero()
-
-
-def test_coprime_matches_plain_below_deg_v():
-    # S~_d(k) = S_d(k) whenever d < deg v, computed in A/(v^N)
-    for d in (0, 1):
-        for k in (1, 2, -1):
-            plain = power_sum(PowerSumKey(d, k, carrier=Residue(V2, 3)), F2)
-            tilde = power_sum(
-                PowerSumKey(d, k, carrier=Residue(V2, 3), coprimality=V2), F2)
-            assert plain == tilde
+            assert _exact_frac(spec, d, 0).to_ratfn().is_zero()
 
 
 def test_residue_exact_compatibility():
     # d = 4 = N*deg(v) reaches monics that need reducing mod v^N
     for d in (0, 1, 2, 3, 4):
         for k in (1, 3, 0, -2):
-            exact = power_sum(PowerSumKey(d, k, coprimality=T2), F2)
-            res = power_sum(
-                PowerSumKey(d, k, carrier=Residue(T2, 4), coprimality=T2), F2)
-            assert ResidueElem.from_ratfn(exact, T2, 4) == res
-
-
-def test_residue_not_invertible_without_coprimality():
-    with pytest.raises(NotInvertible):
-        power_sum(PowerSumKey(1, 1, carrier=Residue(T2, 2)), F2)
-    # but fine below deg v, and for negative exponents anywhere
-    power_sum(PowerSumKey(1, 1, carrier=Residue(V2, 1)), F2)
-    power_sum(PowerSumKey(3, -2, carrier=Residue(T2, 2)), F2)
+            exact = literal_power_sum(F2, d, k, coprime_to=T2)
+            res = _residue_sum(F2, d, k, T2, 4)
+            assert ResidueRing(T2, 4).from_ratfn(exact) == res
 
 
 def test_high_degree_coprime_sums_vanish_at_precision():
@@ -85,29 +66,30 @@ def test_high_degree_coprime_sums_vanish_at_precision():
     for N in (1, 2):
         for k in (1, 2, -1):
             d = N * V2.degree() + 1
-            shortcut = power_sum(
-                PowerSumKey(d, k, carrier=Residue(V2, N), coprimality=V2), F2)
+            shortcut = _residue_sum(F2, d, k, V2, N)
             assert shortcut.is_zero()
             # literal check at modest size
-            total = ResidueElem.zero(V2, N)
+            ring = ResidueRing(V2, N)
+            total = ring.zero()
             for a in monic_polys(F2, d):
                 if (a % V2).is_zero():
                     continue
                 if k > 0:
-                    total = total + ResidueElem.from_ratfn(
-                        RationalFn.from_poly(a) ** -k, V2, N)
+                    total = total + ring.from_ratfn(
+                        RationalFn.from_poly(a) ** -k)
                 else:
-                    total = total + ResidueElem.from_poly(a ** -k, V2, N)
+                    total = total + ring.image(a ** -k)
             assert total.is_zero()
 
 
 _CACHE_WRITER = """
-from ffmzv import FieldSpec, PowerSumKey, Residue, parse_poly, power_sum
+from ffmzv import FieldSpec, parse_poly
+from ffmzv.power_sums import _residue_sum
 spec = FieldSpec.parse("q=2")
 v = parse_poly("t", spec)
 for k in range(1, 80):
     for d in range(4):
-        power_sum(PowerSumKey(d, k, carrier=Residue(v, 3), coprimality=v), spec)
+        _residue_sum(spec, d, k, v, 3)
 """
 
 
@@ -132,11 +114,6 @@ def test_concurrent_disk_cache_writers(tmp_path):
     assert all(isinstance(rep, list) for rep in data.values())
 
 
-def test_key_rejects_mismatched_prime():
-    with pytest.raises(ValueError):
-        PowerSumKey(1, 1, carrier=Residue(T2, 2), coprimality=V2)
-
-
 def test_vanish_degree():
     assert vanish_degree(1, F2, 6) == 1
     assert vanish_degree(2, F3, 8) == 1
@@ -144,3 +121,32 @@ def test_vanish_degree():
         vanish_degree(1, F2, 1)  # S_1(-1) != 0, maximality not certified
     with pytest.raises(ValueError):
         vanish_degree(0, F2, 4)
+
+
+def test_vanish_cap_matches_a_large_cap():
+    # the digit-sum cap certifies the same degree as a generous one
+    F4 = FieldSpec.parse("q=4")
+    F5 = FieldSpec.parse("q=5")
+    for spec, ms in ((F2, range(1, 7)), (F3, range(1, 4)), (F4, (1,)),
+                     (F5, (1,))):
+        for m in ms:
+            cap = default_vanish_cap(m, spec)
+            assert vanish_degree(m, spec, cap) == \
+                vanish_degree(m, spec, cap + 2), (spec.q, m)
+
+
+def test_disk_cache_never_reads_sums_over_all_monics(tmp_path, monkeypatch):
+    # entries ending in |0 held sums over every monic, multiples of v
+    # included; a coprime sum must be computed, not read from them
+    from ffmzv import power_sums
+    monkeypatch.setenv("MZV_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(power_sums, "_disk_cache", {})
+    monkeypatch.setattr(power_sums, "_residue_cache", {})
+    path = power_sums._cache_path(F2)
+    with open(path, "w") as fh:
+        json.dump({f"{T2}|2|1|1|0": [1]}, fh)
+    value = _residue_sum(F2, 1, 1, T2, 2)
+    assert value == ResidueRing(T2, 2).from_ratfn(
+        literal_power_sum(F2, 1, 1, coprime_to=T2))
+    with open(path) as fh:
+        assert json.load(fh)[f"{T2}|2|1|1|1"] == value.rep.coeff_indices()

@@ -3,7 +3,7 @@ import pytest
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
-                   ResidueElem, is_trivial_zero, parse_poly)
+                   ResidueRing, is_trivial_zero, parse_poly)
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput
 
 F2 = FieldSpec.parse("q=2")
@@ -110,7 +110,7 @@ def test_finite_and_vadic_n1_values_stay_apart():
     for _ in range(2):
         finite, _ = evaluate_relation(rel, Finite(T2))
         vadic, verdict = evaluate_relation(rel, Vadic(T2, N=1))
-        assert finite == ResidueElem.one(T2, 1)
+        assert finite == ResidueRing(T2, 1).one()
         assert vadic.is_zero() and verdict.passed
 
 

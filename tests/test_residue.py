@@ -1,6 +1,6 @@
 import pytest
 
-from ffmzv import (AtLeast, FieldSpec, Poly, RationalFn, ResidueElem,
+from ffmzv import (AtLeast, FieldSpec, Poly, RationalFn, ResidueRing,
                    parse_poly, poly_inv_mod, v_valuation)
 from ffmzv.errors import InvalidPrime, MixedModulus, NotInvertible
 
@@ -20,35 +20,35 @@ def test_poly_inv_mod():
 
 def test_non_prime_modulus_rejected():
     with pytest.raises(InvalidPrime):
-        ResidueElem.zero(parse_poly("t^2+1", F2), 1)  # (t+1)^2
+        ResidueRing(parse_poly("t^2+1", F2), 1).zero()  # (t+1)^2
 
 
 def test_arithmetic_mod_v_power():
-    x = ResidueElem.from_poly(parse_poly("t+1", F2), T2, 3)
-    y = ResidueElem.from_poly(parse_poly("t^2", F2), T2, 3)
+    x = ResidueRing(T2, 3).image(parse_poly("t+1", F2))
+    y = ResidueRing(T2, 3).image(parse_poly("t^2", F2))
     assert (x + y).rep == parse_poly("t^2+t+1", F2)
     assert (x * y).rep == parse_poly("t^2", F2)  # t^3 truncated away
     assert (x.inv() * x).rep == Poly.one(F2)
-    assert (x ** -2) * (x ** 2) == ResidueElem.one(T2, 3)
+    assert (x ** -2) * (x ** 2) == ResidueRing(T2, 3).one()
 
 
 def test_mixed_modulus_rejected():
-    x = ResidueElem.one(T2, 2)
-    y = ResidueElem.one(V2, 2)
+    x = ResidueRing(T2, 2).one()
+    y = ResidueRing(V2, 2).one()
     with pytest.raises(MixedModulus):
         x + y
     with pytest.raises(MixedModulus):
-        x * ResidueElem.one(T2, 3)
+        x * ResidueRing(T2, 3).one()
 
 
 def test_valuation():
-    assert ResidueElem.from_poly(parse_poly("t^2+t^3", F2), T2, 4).valuation() == 2
-    assert ResidueElem.zero(T2, 4).valuation() == AtLeast(4)
-    assert ResidueElem.one(T2, 4).valuation() == 0
+    assert ResidueRing(T2, 4).image(parse_poly("t^2+t^3", F2)).valuation() == 2
+    assert ResidueRing(T2, 4).zero().valuation() == AtLeast(4)
+    assert ResidueRing(T2, 4).one().valuation() == 0
 
 
 def test_reduce_precision_consistency():
-    x = ResidueElem.from_poly(parse_poly("t^3+t+1", F2), T2, 4)
+    x = ResidueRing(T2, 4).image(parse_poly("t^3+t+1", F2))
     y = x.reduce_precision(2)
     assert y.N == 2 and y.rep == parse_poly("t+1", F2)
 
@@ -56,10 +56,10 @@ def test_reduce_precision_consistency():
 def test_from_ratfn():
     # 1/(t+1) mod t^3 = 1 + t + t^2
     x = RationalFn(Poly.one(F2), parse_poly("t+1", F2))
-    r = ResidueElem.from_ratfn(x, T2, 3)
+    r = ResidueRing(T2, 3).from_ratfn(x)
     assert r.rep == parse_poly("t^2+t+1", F2)
     with pytest.raises(NotInvertible):
-        ResidueElem.from_ratfn(RationalFn(Poly.one(F2), T2), T2, 2)
+        ResidueRing(T2, 2).from_ratfn(RationalFn(Poly.one(F2), T2))
 
 
 def test_v_valuation_on_rational_functions():

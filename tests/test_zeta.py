@@ -1,16 +1,19 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmzv import (Composition, FieldSpec, Poly, PowerSumKey, RationalFn,
-                   Residue, ResidueElem, TruncationConfig, finite_mzv,
-                   irreducible_polys, parse_composition, power_sum,
-                   truncated_mzv, vadic_mzv, vadic_mzv_auto, parse_poly)
+from ffmzv import (Composition, FieldSpec, Poly, RationalFn, ResidueRing,
+                   TruncationConfig, finite_mzv, irreducible_polys,
+                   parse_composition, truncated_mzv, vadic_mzv,
+                   vadic_mzv_auto, parse_poly)
 from ffmzv.errors import ParseError
+from ffmzv.power_sums import _exact_frac
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
+F4 = FieldSpec.parse("q=4")
 T2 = parse_poly("t", F2)
 V2 = parse_poly("t^2+t+1", F2)
 
@@ -52,7 +55,7 @@ def literal_truncated(D, entries, star, spec):
             continue
         prod = RationalFn.one(spec)
         for d, k in zip(chain, entries):
-            prod = prod * power_sum(PowerSumKey(d, k), spec)
+            prod = prod * _exact_frac(spec, d, k).to_ratfn()
         total = total + prod
     return total
 
@@ -73,8 +76,8 @@ def test_star_plain_decomposition_depth2():
             plain = truncated_mzv(D, Composition((s1, s2)), False, F2)
             diag = RationalFn.zero(F2)
             for d in range(D):
-                diag = diag + power_sum(PowerSumKey(d, s1), F2) * \
-                    power_sum(PowerSumKey(d, s2), F2)
+                diag = diag + _exact_frac(F2, d, s1).to_ratfn() * \
+                    _exact_frac(F2, d, s2).to_ratfn()
             assert star == plain + diag
 
 
@@ -82,16 +85,23 @@ def test_finite_pinned_values():
     assert finite_mzv(V2, Composition((1,)), False, F2).is_zero()
     assert finite_mzv(T2, Composition((1, 2)), False, F2).is_zero()  # empty chain
     assert finite_mzv(V2, Composition((1, 2)), False, F2) == \
-        ResidueElem.one(V2, 1)
+        ResidueRing(V2, 1).one()
 
 
-def test_finite_truncated_bridge():
-    # finite_mzv == truncated_mzv(deg v) reduced mod v when denominators allow
-    for entries in [(1,), (2,), (1, 2), (3, 1)]:
-        for star in (False, True):
-            exact = truncated_mzv(V2.degree(), Composition(entries), star, F2)
-            assert ResidueElem.from_ratfn(exact, V2, 1) == \
-                finite_mzv(V2, Composition(entries), star, F2)
+FINITE_PRIMES = [(spec, v) for spec in (F2, F3, F4) for d in (1, 2, 3)
+                 for v in irreducible_polys(spec, d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FINITE_PRIMES),
+       st.lists(st.integers(-3, 4), min_size=1, max_size=3), st.booleans())
+def test_finite_truncated_bridge(prime, entries, star):
+    # finite_mzv runs on the v-adic DP at N = 1; the exact truncated value
+    # at D = deg v has denominators prime to v, so it reduces mod v
+    spec, v = prime
+    s = Composition(entries)
+    exact = truncated_mzv(v.degree(), s, star, spec)
+    assert ResidueRing(v, 1).from_ratfn(exact) == finite_mzv(v, s, star, spec)
 
 
 def test_vadic_pinned_example():
@@ -151,3 +161,16 @@ def test_value_is_exact_at_the_bound(prime, N, entries, star):
     if bound > 1:
         below = vadic_mzv(v, s, TruncationConfig(bound - 1, N, star), spec)
         assert not below.stabilized
+
+
+def test_vadic_sum_stops_at_the_bound():
+    # D far past N*deg(v)+1 reports as D but sums no further than the bound
+    for entries in [(1,), (1, 2, 3), (-1, 2)]:
+        s = Composition(entries)
+        bound = 2 * V2.degree() + 1
+        at = vadic_mzv(V2, s, TruncationConfig(bound, 2), F2)
+        start = time.monotonic()
+        far = vadic_mzv(V2, s, TruncationConfig(bound + 10 ** 6, 2), F2)
+        assert time.monotonic() - start < 0.5
+        assert far.value == at.value and far.stable_from == at.stable_from
+        assert far.stabilized and far.D == bound + 10 ** 6
