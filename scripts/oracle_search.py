@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Independent cross-check for the default relation-search scope
-(q = 2, v = t, depth <= 3, weight <= 6, N = 6).
+"""Independent cross-check for the relation search at q = 2, v = t, N = 6.
 
-Everything here is computed from scratch with bit-packed GF(2)[t]
+The scope is depth <= 3 and weight <= 6 unless --depth-max and --weight-max
+widen it.  Everything here is computed from scratch with bit-packed GF(2)[t]
 arithmetic and bitset Gaussian elimination -- no imports from the package.
-Run this to reproduce the frozen numbers asserted by the acceptance suite:
-nullspace dimension, universal-span dimension, containment, residual.
+Run it at the default scope to reproduce the numbers frozen in the
+acceptance suite: nullspace dimension, universal-span dimension,
+containment, residual.
 """
 
+import argparse
 import itertools
 
 M = 6  # precision: work mod t^M
@@ -162,7 +164,11 @@ def universal_vectors(tuples, weight_max, depth_max):
 
 
 def main():
-    weight_max, depth_max, D = 6, 3, 13
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--weight-max", type=int, default=6)
+    parser.add_argument("--depth-max", type=int, default=3)
+    args = parser.parse_args()
+    weight_max, depth_max, D = args.weight_max, args.depth_max, 13
     tuples = enumerate_tuples(weight_max, depth_max)
     print(f"tuples: {len(tuples)}")
 

@@ -240,6 +240,13 @@ def _make_ring(text: str):
 
 def _run_harmonic(args) -> dict:
     ring = _make_ring(args.ring)
+    # no checks, or checks over empty index or exponent sets, would be a
+    # vacuous PASS
+    for flag, value in (("--checks", args.checks),
+                        ("--index-size", args.index_size),
+                        ("--magma-size", args.magma_size)):
+        if value < 1:
+            raise ParseError(f"{flag} must be >= 1, got {value}")
     failures = []
     for i in range(args.checks):
         seed = args.seed + i

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .fields import FieldSpec
+from .poly import Poly
 
 
 class FqMatrix:
@@ -38,28 +39,31 @@ class FqMatrix:
         return out
 
     def rref(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column list)."""
+        """Reduced row echelon form; returns (rows, pivot column list).
+
+        Each row is held as a packed Poly whose t^c coefficient is column c,
+        so a row operation is one Poly subtraction of a scaled row.
+        """
         fq = self.spec
-        m = [row[:] for row in self.entries]
+        m = [Poly.from_indices(fq, row) for row in self.entries]
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
-            pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+            pivot = next((i for i in range(r, len(m)) if m[i].coeff_index(c)),
+                         None)
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            inv = fq.inv(m[r][c])
-            if inv != 1:
-                m[r] = [fq.mul(inv, x) for x in m[r]]
+            m[r] = row = m[r].scale(fq.inv(m[r].coeff_index(c)))
             for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(m[i], m[r])]
+                if i != r and (f := m[i].coeff_index(c)):
+                    m[i] = m[i] - row.scale(f)
             pivots.append(c)
             r += 1
             if r == len(m):
                 break
-        return m[:r], pivots
+        return [x.coeff_indices() + [0] * (self.cols - 1 - x.degree())
+                for x in m[:r]], pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 from .errors import CapTooSmall
@@ -28,7 +29,7 @@ from .residue import ResidueElem, ResidueRing
 _exact_cache: dict[tuple, LFrac] = {}
 _residue_cache: dict[tuple, ResidueElem] = {}
 _vanish_cache: dict[tuple, Poly] = {}
-_disk_cache: dict[str, dict] = {}
+_disk_cache: dict[str, dict | None] = {}  # None: file unusable
 
 
 def _exact_frac(spec: FieldSpec, d: int, k: int) -> LFrac:
@@ -138,21 +139,37 @@ def _cache_path(spec: FieldSpec) -> str | None:
 
 
 def _load_disk_cache(spec: FieldSpec) -> dict | None:
+    """The cache file's entries, or None to run without a disk cache.
+
+    A file that cannot be read, or is not a JSON object mapping keys to
+    lists of F_q element indices, is left untouched: this process warns once
+    and runs without it.
+    """
     path = _cache_path(spec)
     if path is None:
         return None
-    cached = _disk_cache.get(path)
-    if cached is not None:
-        return cached
+    if path in _disk_cache:
+        return _disk_cache[path]
     data = {}
     if os.path.exists(path):
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            data = {}
+        except (OSError, ValueError):
+            data = None
+        if not _well_formed(data, spec):
+            print(f"warning: ignoring unreadable or malformed cache file "
+                  f"{path}; running without the disk cache", file=sys.stderr)
+            data = None
     _disk_cache[path] = data
     return data
+
+
+def _well_formed(data, spec: FieldSpec) -> bool:
+    return isinstance(data, dict) and all(
+        isinstance(rep, list)
+        and all(type(a) is int and 0 <= a < spec.q for a in rep)
+        for rep in data.values())
 
 
 def _store_disk_cache(spec: FieldSpec, data: dict):

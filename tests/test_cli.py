@@ -110,6 +110,14 @@ def test_exit_code_2_on_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1"):
         assert main(["harmonic", "--ring", ring, "--checks", "1"]) == 2, ring
+    # no checks, or checks over empty sets, would pass vacuously
+    for flag, value in (("--checks", "0"), ("--checks", "-3"),
+                        ("--index-size", "0"), ("--index-size", "-2"),
+                        ("--magma-size", "0")):
+        assert main(["harmonic", flag, value]) == 2, (flag, value)
+        assert flag in capsys.readouterr().err
+    assert main(["harmonic", "--ring", "zmod:2", "--doubling",
+                 "--magma-size", "0"]) == 2
     capsys.readouterr()
 
 

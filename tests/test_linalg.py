@@ -1,9 +1,82 @@
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import FieldSpec, FqMatrix, nullspace, stack_rank
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
+# q = 131 needs two-byte slots in the packed rows
+SPECS = [FieldSpec.parse(f"q={q}") for q in (2, 3, 4, 9, 131)]
+
+
+def reference_rref(fq, entries, cols):
+    """Per-entry Gauss-Jordan elimination: the slow reference for rref."""
+    m = [row[:] for row in entries]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = fq.inv(m[r][c])
+        if inv != 1:
+            m[r] = [fq.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_nullspace(spec, rows, pivots, cols):
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = [0] * cols
+        vec[free] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = spec.neg(row[free])
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def matrices(draw):
+    """(spec, entries, cols): tall matrices up to 6 columns, or wide ones
+    past 64 and 256 columns, whose rows are random, sparse, zero, copies or
+    combinations of earlier rows.  Entries come from a drawn seed."""
+    spec = draw(st.sampled_from(SPECS))
+    cols = draw(st.one_of(st.integers(1, 6),
+                          st.sampled_from((63, 64, 65, 255, 256, 257, 300))))
+    kinds = draw(st.lists(st.sampled_from(
+        ("random", "sparse", "zero", "copy", "combination")),
+        max_size=20 if cols <= 6 else 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = []
+    for kind in kinds:
+        if kind == "zero" or (kind in ("copy", "combination") and not entries):
+            row = [0] * cols
+        elif kind == "copy":
+            row = list(rng.choice(entries))
+        elif kind == "combination":
+            a, b = rng.choice(entries), rng.choice(entries)
+            x, y = rng.randrange(spec.q), rng.randrange(spec.q)
+            row = [spec.add(spec.mul(x, u), spec.mul(y, w))
+                   for u, w in zip(a, b)]
+        elif kind == "sparse":
+            row = [rng.randrange(1, spec.q) if rng.random() < 0.1 else 0
+                   for _ in range(cols)]
+        else:
+            row = [rng.randrange(spec.q) for _ in range(cols)]
+        entries.append(row)
+    return spec, entries, cols
 
 
 def test_nullspace_pinned_examples():
@@ -43,3 +116,28 @@ def test_nullspace_vectors_are_in_kernel(spec, rows, cols, data):
 def test_mat_vec():
     m = FqMatrix(F3, [[1, 2], [0, 1]])
     assert m.mat_vec([1, 1]) == [0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_packed_elimination_matches_per_entry_reference(case):
+    spec, entries, cols = case
+    m = FqMatrix(spec, entries, cols=cols)
+    rows, pivots = reference_rref(spec, entries, cols)
+    assert m.rref() == (rows, pivots)
+    assert m.rank() == len(pivots)
+    assert stack_rank(spec, entries) == len(pivots)
+    assert nullspace(m) == reference_nullspace(spec, rows, pivots, cols)
+
+
+def test_packed_elimination_on_zero_and_unnormalised_matrices():
+    for spec in SPECS:
+        for cols in (1, 65, 257):
+            zero = FqMatrix(spec, [[0] * cols] * 3)
+            assert zero.rref() == ([], [])
+            assert len(nullspace(zero)) == cols
+        # leading entries q - 1 and 2 once q > 3, a duplicated and a zero row
+        a, b = spec.q - 1, 2 % spec.q
+        entries = [[0, a, 1, 0], [0, a, 1, 0], [b, 0, 0, a], [0, 0, 0, 0]]
+        assert FqMatrix(spec, entries).rref() == \
+            reference_rref(spec, entries, 4)

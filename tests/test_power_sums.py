@@ -150,3 +150,27 @@ def test_disk_cache_never_reads_sums_over_all_monics(tmp_path, monkeypatch):
         literal_power_sum(F2, 1, 1, coprime_to=T2))
     with open(path) as fh:
         assert json.load(fh)[f"{T2}|2|1|1|1"] == value.rep.coeff_indices()
+
+
+@pytest.mark.parametrize("content", ["[]", '{"a":'])
+def test_malformed_disk_cache_is_ignored_and_kept(tmp_path, content):
+    # valid JSON that is no object, and a truncated file: the run warns once
+    # on stderr, prints what it prints without a cache, and leaves the file
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("MZV_CACHE_DIR", None)
+    argv = [sys.executable, "-m", "ffmzv.cli", "compute", "--tuple", "(1,2)",
+            "--v", "t", "--N", "2"]
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True,
+                           timeout=120)
+    path = tmp_path / "power_sums_q2.json"
+    path.write_text(content)
+    cached = subprocess.run(argv, env=dict(env, MZV_CACHE_DIR=str(tmp_path)),
+                            capture_output=True, text=True, timeout=120)
+    assert (cached.returncode, cached.stdout) == (0, plain.stdout)
+    assert plain.returncode == 0 and plain.stdout
+    warnings = cached.stderr.splitlines()
+    assert len(warnings) == 1 and str(path) in warnings[0], cached.stderr
+    assert path.read_text() == content
+    assert os.listdir(tmp_path) == [path.name]
