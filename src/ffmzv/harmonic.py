@@ -220,14 +220,16 @@ class MHTInstance:
         }, sort_keys=True)
 
 
-def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False):
+def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False,
+            memo: dict | None = None):
     """Sum over (weakly, when star) decreasing chains in the index set of
-    the product of table values."""
+    the product of table values; memo as in ``zeta._top_terms``, for one
+    (instance, star)."""
     for e in s:
         if e not in inst.magma:
             raise ValueError(f"exponent {e} outside the instance magma")
     return chain_sum(s, len(inst.index_set), star, inst.ring,
-                     inst.rows.__getitem__)
+                     inst.rows.__getitem__, memo)
 
 
 def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
@@ -238,7 +240,7 @@ def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
     if len(s) % 2 == 0:
         raise InvalidFamilyInput("depth must be odd")
     residual = sum_of_products(inst.ring, signed_perm_identity_terms(tuple(s)),
-                               partial(mht_sum, inst))
+                               partial(mht_sum, inst, memo={}))
     return residual, residual == inst.ring.zero()
 
 
@@ -264,7 +266,7 @@ def check_thmD(inst: MHTInstance, pairs):
                 if inst.h.get((d, 2 * s)) != ring.mul(hs, hs):
                     raise DoublingLawViolated(f"h({d},{2*s}) != h({d},{s})^2")
     residual = sum_of_products(ring, doubling_identity_terms(tuple(pairs)),
-                               partial(mht_sum, inst))
+                               partial(mht_sum, inst, memo={}))
     return residual, residual == ring.zero()
 
 

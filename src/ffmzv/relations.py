@@ -79,8 +79,25 @@ def signed_perm_identity_terms(entries: tuple[int, ...]) -> list[tuple[int, tupl
 
 
 def _reorders(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct orderings of a multiset (set semantics)."""
-    return sorted(set(permutations(multiset)))
+    """Distinct orderings of a multiset, in lexicographic order: a
+    next-permutation walk from the sorted multiset visits each distinct
+    ordering once, never the n! orderings with repeats."""
+    order = sorted(multiset)
+    out = [tuple(order)]
+    while True:
+        # the rightmost ascent order[i] < order[i + 1]
+        i = len(order) - 2
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        # swap it with the rightmost larger entry, then reverse the rest
+        j = len(order) - 1
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1:] = reversed(order[i + 1:])
+        out.append(tuple(order))
 
 
 def _remove(multiset: tuple[int, ...], value: int, count: int = 1) -> tuple[int, ...]:
@@ -321,8 +338,8 @@ class TruncatedExact:
     def ring(self, spec: FieldSpec):
         return exact_ring(spec)
 
-    def value(self, s: Composition, spec: FieldSpec):
-        return _truncated_frac(self.D, s, self.star, spec)
+    def value(self, s: Composition, spec: FieldSpec, memo=None):
+        return _truncated_frac(self.D, s, self.star, spec, memo)
 
     def verdict(self, acc):
         value = acc.to_ratfn()
@@ -337,8 +354,8 @@ class Finite:
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, 1)
 
-    def value(self, s: Composition, spec: FieldSpec):
-        return finite_mzv(self.v, s, self.star, spec)
+    def value(self, s: Composition, spec: FieldSpec, memo=None):
+        return finite_mzv(self.v, s, self.star, spec, memo)
 
     def verdict(self, acc):
         return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
@@ -363,11 +380,12 @@ class Vadic:
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, self.N)
 
-    def value(self, s: Composition, spec: FieldSpec):
+    def value(self, s: Composition, spec: FieldSpec, memo=None):
         if self.D is None:
-            return vadic_mzv_auto(self.v, s, self.N, self.star, spec).value
+            return vadic_mzv_auto(self.v, s, self.N, self.star, spec,
+                                  memo).value
         cfg = TruncationConfig(D=self.D, N=self.N, star=self.star)
-        return vadic_mzv(self.v, s, cfg, spec).value
+        return vadic_mzv(self.v, s, cfg, spec, memo=memo).value
 
     def verdict(self, acc):
         # a nonzero residue mod v^N has valuation < N
@@ -394,12 +412,13 @@ class Verdict:
 _residue_factor_cache: dict[tuple, object] = {}  # (spec, evaluator, factor)
 
 
-def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec):
+def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec,
+                  memo: dict):
     key = (spec, evaluator, factor)
     hit = _residue_factor_cache.get(key)
     if hit is None:
         hit = _residue_factor_cache[key] = evaluator.value(Composition(factor),
-                                                           spec)
+                                                           spec, memo)
     return hit
 
 
@@ -409,6 +428,11 @@ def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
     if not isinstance(evaluator, (TruncatedExact, Finite, Vadic)):
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
     spec = rel.spec
+    # the factors are orderings of the same entries and share suffixes; one
+    # memo of suffix DP tables per relation, since one evaluator fixes D,
+    # star and the carrier
+    memo = {}
     acc = sum_of_products(evaluator.ring(spec), rel.terms,
-                          lambda factor: _factor_value(factor, evaluator, spec))
+                          lambda factor: _factor_value(factor, evaluator, spec,
+                                                       memo))
     return evaluator.verdict(acc)

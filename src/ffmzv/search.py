@@ -67,24 +67,35 @@ def enumerate_tuples(scope: SearchScope) -> list[Composition]:
     values = [e for e in range(1, scope.weight_max + 1)
               if not scope.q_even_only or is_q_even(e, spec)]
     if scope.include_negatives:
-        values += [-e for e in range(1, scope.weight_max + 1)
-                   if not scope.q_even_only or is_q_even(e, spec)]
+        values += [-e for e in values]
     values.sort()
-    out = []
-    for depth in range(1, scope.depth_max + 1):
-        for entries in itertools.product(values, repeat=depth):
-            if sum(abs(e) for e in entries) <= scope.weight_max:
-                out.append(Composition(entries))
-    out.sort(key=lambda c: (c.depth, c.entries))
-    return out
+    if not values:
+        return []
+    least = min(abs(e) for e in values)
+
+    def bounded(depth, budget):
+        """Tuples of depth entries with sum |e| <= budget, in lexicographic
+        order; only entries that leave room for the rest are tried."""
+        if depth == 0:
+            yield ()
+            return
+        room = budget - (depth - 1) * least
+        for e in values:
+            if abs(e) <= room:
+                for rest in bounded(depth - 1, budget - abs(e)):
+                    yield (e,) + rest
+
+    return [Composition(entries) for depth in range(1, scope.depth_max + 1)
+            for entries in bounded(depth, scope.weight_max)]
 
 
-def _value_vector(s: Composition, scope: SearchScope) -> ValueVector:
+def _value_vector(s: Composition, scope: SearchScope,
+                  memo: dict) -> ValueVector:
     if scope.D is None:
-        report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec)
+        report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec, memo)
     else:
         cfg = TruncationConfig(D=scope.D, N=scope.N)
-        report = vadic_mzv(scope.v, s, cfg, scope.spec)
+        report = vadic_mzv(scope.v, s, cfg, scope.spec, memo=memo)
     m = scope.N * scope.v.degree()
     coords = tuple(report.value.rep.coeff_index(i) for i in range(m))
     return ValueVector(tuple=s, coords=coords, stabilized=report.stabilized)
@@ -93,8 +104,11 @@ def _value_vector(s: Composition, scope: SearchScope) -> ValueVector:
 def value_matrix(tuples: list[Composition],
                  scope: SearchScope) -> tuple[FqMatrix, list[ValueVector]]:
     """Matrix whose column j holds the F_q coordinates of tuple j's v-adic
-    value at precision N; unstabilized columns flagged, never dropped."""
-    vectors = [_value_vector(s, scope) for s in tuples]
+    value at precision N; unstabilized columns flagged, never dropped.
+    The columns share one memo of suffix DP tables: every suffix of an
+    in-scope tuple is in scope, and shallower tuples come first."""
+    memo = {}
+    vectors = [_value_vector(s, scope, memo) for s in tuples]
     m = scope.N * scope.v.degree()
     rows = [[vec.coords[i] for vec in vectors] for i in range(m)]
     return FqMatrix(scope.spec, rows, cols=len(tuples)), vectors
@@ -171,8 +185,10 @@ def compare_with_universal(found: list[FormalRelation],
                            scope: SearchScope) -> dict:
     """Report comparing the found nullspace with the universal span.
 
-    Containment of the universal span in the found span is theorem-backed
-    once columns stabilize; the residual counts found directions beyond it.
+    ``found`` is an independent set, as ``find_relations`` returns it (a
+    nullspace basis), so its dimension is its length.  Containment of the
+    universal span in the found span is theorem-backed once columns
+    stabilize; the residual counts found directions beyond it.
     """
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
@@ -183,7 +199,7 @@ def compare_with_universal(found: list[FormalRelation],
     universal = _universal_relations(scope, tuples)
     uni_vecs = [_relation_vector(r, index, spec, cols) for r in universal]
 
-    dim_found = stack_rank(spec, found_vecs)
+    dim_found = len(found)
     dim_universal = stack_rank(spec, uni_vecs)
     stacked = stack_rank(spec, found_vecs + uni_vecs)
     containment = stacked == dim_found

@@ -94,35 +94,53 @@ def exact_ring(spec: FieldSpec) -> SimpleNamespace:
                            scale=lambda a, c: a.scale_int(c))
 
 
-def _top_terms(entries, D, star, ring, row):
+def _top_terms(entries, D, star, ring, row, memo=None):
     """T[d] = sum over chains with top index exactly d of the product of
     table values, where row(k) lists h(0, k), ..., h(D-1, k); built
-    depth-by-depth from prefix sums of the inner tail."""
+    depth-by-depth from prefix sums of the inner tail.
+
+    T of a suffix entries[i:] depends on that suffix alone.  ``memo`` maps
+    suffixes to their T lists for one (D, star, ring, row): the build starts
+    from the longest suffix found there and stores every new one.  The
+    stored lists are shared, so callers must not mutate what this returns.
+    """
+    if memo is None:
+        memo = {}
     mul = ring.mul
-    tail = row(entries[-1])
-    for k in entries[-2::-1]:
+    start = next((i for i in range(len(entries)) if entries[i:] in memo),
+                 None)
+    if start is None:
+        start = len(entries) - 1
+        memo[entries[start:]] = row(entries[start])
+    tail = memo[entries[start:]]
+    for i in range(start - 1, -1, -1):
         sums = list(accumulate(tail, ring.add, initial=ring.zero()))
-        tail = list(map(mul, row(k), sums[1:] if star else sums))
+        tail = memo[entries[i:]] = list(map(mul, row(entries[i]),
+                                            sums[1:] if star else sums))
     return tail
 
 
-def chain_sum(entries, D, star, ring, row):
+def chain_sum(entries, D, star, ring, row, memo=None):
     """Sum over chains D > d_1 > ... > d_r >= 0 (weak inequalities when
-    star) of prod h(d_i, entries[i]), with row as in ``_top_terms``."""
-    return reduce(ring.add, _top_terms(entries, D, star, ring, row),
+    star) of prod h(d_i, entries[i]), with row and memo as in
+    ``_top_terms``."""
+    return reduce(ring.add, _top_terms(entries, D, star, ring, row, memo),
                   ring.zero())
 
 
 _trunc_cache: dict[tuple, LFrac] = {}
 
 
-def _truncated_frac(D: int, s: Composition, star: bool, spec: FieldSpec) -> LFrac:
+def _truncated_frac(D: int, s: Composition, star: bool, spec: FieldSpec,
+                    memo: dict | None = None) -> LFrac:
+    """The truncated value as an LFrac; memo as in ``_top_terms``, for one
+    (D, star, spec)."""
     key = (spec, D, s.entries, star)
     hit = _trunc_cache.get(key)
     if hit is None:
         hit = _trunc_cache[key] = chain_sum(
             s.entries, D, star, exact_ring(spec),
-            lambda k: [_exact_frac(spec, d, k) for d in range(D)])
+            lambda k: [_exact_frac(spec, d, k) for d in range(D)], memo)
     return hit
 
 
@@ -134,11 +152,13 @@ def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> Ration
     return _truncated_frac(D, s, star, spec).to_ratfn()
 
 
-def finite_mzv(v: Poly, s: Composition, star: bool, spec: FieldSpec) -> ResidueElem:
+def finite_mzv(v: Poly, s: Composition, star: bool, spec: FieldSpec,
+               memo: dict | None = None) -> ResidueElem:
     """Sum over chains with d_1 < deg v, reduced mod v; element of F_v.  It
     is the v-adic partial sum at N = 1 and D = deg v: no monic of degree
-    below deg v is a multiple of v."""
-    return vadic_mzv(v, s, TruncationConfig(v.degree(), 1, star), spec).value
+    below deg v is a multiple of v.  memo as in ``vadic_mzv``."""
+    return vadic_mzv(v, s, TruncationConfig(v.degree(), 1, star), spec,
+                     memo=memo).value
 
 
 def exact_bound(v: Poly, N: int) -> int:
@@ -150,17 +170,18 @@ def exact_bound(v: Poly, N: int) -> int:
 
 
 def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
-              spec: FieldSpec) -> StabilizationReport:
+              spec: FieldSpec, memo: dict | None = None) -> StabilizationReport:
     """Partial v-adic sum through top degree cfg.D - 1 at precision cfg.N,
     over coprime power sums; stabilized (exact) once cfg.D reaches
-    exact_bound(v, cfg.N)."""
+    exact_bound(v, cfg.N).  memo as in ``_top_terms``, for one (v, cfg,
+    spec)."""
     N = cfg.N
     ring = ResidueRing(v, N)
     # top terms from exact_bound(v, N) on are zero: sum only up to it
     D = min(cfg.D, exact_bound(v, N))
     top = _top_terms(s.entries, D, cfg.star, ring,
                      lambda k: [_residue_sum(spec, d, k, v, N)
-                                for d in range(D)])
+                                for d in range(D)], memo)
     stable_from = D
     while stable_from > 1 and top[stable_from - 1].is_zero():
         stable_from -= 1
@@ -170,7 +191,8 @@ def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
 
 
 def vadic_mzv_auto(v: Poly, s: Composition, N: int, star: bool,
-                   spec: FieldSpec) -> StabilizationReport:
+                   spec: FieldSpec, memo: dict | None = None
+                   ) -> StabilizationReport:
     """vadic_mzv at D = exact_bound(v, N), the least D where it is exact."""
     cfg = TruncationConfig(D=exact_bound(v, N), N=N, star=star)
-    return vadic_mzv(v, s, cfg, spec)
+    return vadic_mzv(v, s, cfg, spec, memo=memo)

@@ -1,10 +1,15 @@
+import time
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
                    ResidueRing, is_trivial_zero, parse_poly)
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput
+from ffmzv.relations import _reorders
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -140,3 +145,19 @@ def test_trivial_zero_actually_vanishes():
     rel = FormalRelation.build([(1, (s.entries,))], "custom", F2)
     _, verdict = evaluate_relation(rel, Vadic(T2, N=3))
     assert verdict.passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 4), max_size=7))
+def test_reorders_are_the_sorted_distinct_permutations(multiset):
+    m = tuple(multiset)
+    assert _reorders(m) == sorted(set(permutations(m)))
+
+
+def test_reorders_walk_only_distinct_orderings():
+    # 13! = 6.2e9 orderings with repeats, 13 distinct ones
+    start = time.perf_counter()
+    orders = _reorders((1,) * 12 + (2,))
+    assert time.perf_counter() - start < 0.5
+    assert orders == [(1,) * i + (2,) + (1,) * (12 - i)
+                      for i in range(12, -1, -1)]

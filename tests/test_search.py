@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
 from ffmzv import (Composition, FieldSpec, SearchScope, Vadic,
                    compare_with_universal, enumerate_tuples, evaluate_relation,
-                   find_relations, parse_poly, value_matrix)
+                   find_relations, is_q_even, parse_poly, stack_rank,
+                   value_matrix)
 from ffmzv.errors import InvalidScope
+from ffmzv.search import _relation_vector
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -25,6 +29,33 @@ def test_enumerate_tuples_negatives():
                         include_negatives=True)
     assert [c.entries for c in enumerate_tuples(scope)] == \
         [(-2,), (-1,), (1,), (2,)]
+
+
+def _product_and_filter(scope):
+    """Reference enumeration: every |values|^depth product, filtered by
+    weight and sorted."""
+    values = [e for e in range(1, scope.weight_max + 1)
+              if not scope.q_even_only or is_q_even(e, scope.spec)]
+    if scope.include_negatives:
+        values += [-e for e in values]
+    out = [entries for depth in range(1, scope.depth_max + 1)
+           for entries in itertools.product(sorted(values), repeat=depth)
+           if sum(abs(e) for e in entries) <= scope.weight_max]
+    return sorted(out, key=lambda e: (len(e), e))
+
+
+@pytest.mark.parametrize("spec,v", [(F2, T2), (F3, T3)])
+@pytest.mark.parametrize("negatives", [False, True])
+@pytest.mark.parametrize("q_even_only", [True, False])
+def test_enumerate_tuples_matches_product_and_filter(spec, v, negatives,
+                                                     q_even_only):
+    for w in range(1, 9):
+        for d in range(1, 6):
+            scope = SearchScope(spec, v, weight_max=w, depth_max=d, N=2,
+                                q_even_only=q_even_only,
+                                include_negatives=negatives)
+            assert [c.entries for c in enumerate_tuples(scope)] == \
+                _product_and_filter(scope), (w, d)
 
 
 def test_invalid_scope():
@@ -80,3 +111,16 @@ def test_describe_is_json_ready():
     import json
     scope = SearchScope(F3, T3, weight_max=4, depth_max=2, N=2)
     json.dumps(scope.describe(), sort_keys=True)
+
+
+@pytest.mark.parametrize("w,d,N,dim", [(6, 3, 6, 35), (8, 4, 6, 156)])
+def test_dim_found_is_the_rank_of_the_found_relations(w, d, N, dim):
+    """find_relations returns an independent basis, so the report's
+    dim_found (its length) is the rank of the found vectors."""
+    scope = SearchScope(F2, T2, weight_max=w, depth_max=d, N=N)
+    found = find_relations(scope)
+    tuples = enumerate_tuples(scope)
+    index = {s.entries: j for j, s in enumerate(tuples)}
+    vecs = [_relation_vector(r, index, F2, len(tuples)) for r in found]
+    assert compare_with_universal(found, scope)["dim_found"] == \
+        stack_rank(F2, vecs) == dim
