@@ -69,9 +69,7 @@ def enumerate_tuples(scope: SearchScope) -> list[Composition]:
     if scope.include_negatives:
         values += [-e for e in values]
     values.sort()
-    if not values:
-        return []
-    least = min(abs(e) for e in values)
+    least = min((abs(e) for e in values), default=1)
 
     def bounded(depth, budget):
         """Tuples of depth entries with sum |e| <= budget, in lexicographic
