@@ -1,14 +1,12 @@
-"""Paired benchmark of two checkouts: alternating runs of perfbench/run.py.
+"""Paired benchmark of two git refs: alternating runs of perfbench/run.py.
 
-    python3 scripts/bench_pair.py --parent REF --change REF|DIR
-                                  [--pairs 10] [--seconds S]
-                                  [--workload NAME ...] --out BENCH_<n>.json
+    python3 scripts/bench_pair.py --parent REF --change REF --out BENCH_<n>.json
 
 Each side is a git ref, exported with ``git archive`` into a temporary
-directory, or an existing checkout directory.  Both sides run their own,
-unchanged, ``perfbench/run.py`` with the same settings.  Pair i runs every
-workload once on each side at seed i, the parent first on even pairs and
-the change first on odd ones, one run at a time.
+directory.  Both sides run their own, unchanged, ``perfbench/run.py`` for
+the change's BENCHMARK.json ``run_seconds``.  Pair i, for i in 0..9, runs
+every declared workload once on each side at seed i, the parent first on
+even pairs and the change first on odd ones, one run at a time.
 
 The JSON written to --out gives, per workload and end-to-end metric
 declared in the change's BENCHMARK.json, each side's median and quartiles
@@ -33,13 +31,12 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
-def checkout(side: str, workdir: Path, name: str) -> tuple[Path, str]:
-    """(directory to run in, label) for a ref or an existing directory."""
-    if Path(side).is_dir():
-        return Path(side).resolve(), str(Path(side).resolve())
-    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", side],
+def checkout(ref: str, workdir: Path, name: str) -> tuple[Path, str]:
+    """(directory to run in, commit sha) for a git ref."""
+    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", ref],
                          check=True, capture_output=True,
                          text=True).stdout.strip()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
@@ -112,24 +109,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--workload", action="append")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2 (quartiles need two runs)")
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {name: checkout(ref, Path(tmp), name)
                  for name, ref in (("parent", args.parent),
                                    ("change", args.change))}
         spec = json.loads((sides["change"][0] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or spec["run_seconds"]
-        workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
+        workloads = [w["name"] for w in spec["workloads"]]
         runs = {w: {"parent": [], "change": []} for w in workloads}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                                "parent")
             for w in workloads:
@@ -142,8 +133,7 @@ def main(argv=None) -> int:
 
     report = {
         "parent": sides["parent"][1], "change": sides["change"][1],
-        "pairs": args.pairs, "seconds": seconds, "seeds": list(range(
-            args.pairs)),
+        "pairs": PAIRS, "seconds": seconds, "seeds": list(range(PAIRS)),
         "machine": {"python": platform.python_version(),
                     "nproc": os.cpu_count(), "cpu": cpu_model()},
         "workloads": {w: {**summarize(runs[w], spec["end_to_end"]),

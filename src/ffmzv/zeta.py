@@ -106,7 +106,7 @@ def _top_terms(entries, D, star, ring, row, memo=None):
     """
     if memo is None:
         memo = {}
-    mul = ring.mul
+    entries, mul = tuple(entries), ring.mul
     start = next((i for i in range(len(entries)) if entries[i:] in memo),
                  None)
     if start is None:

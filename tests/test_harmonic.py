@@ -38,6 +38,17 @@ def test_mht_sum_matches_literal():
                 assert mht_sum(inst, s, star) == literal_mht(inst, s, star)
 
 
+def test_mht_sum_accepts_a_list():
+    inst = random_instance(3, ZModRing(9), (4, 3))
+    s = (inst.magma[1], inst.magma[0], inst.magma[1])
+    for star in (False, True):
+        memo = {}
+        assert mht_sum(inst, list(s), star, memo) == \
+            literal_mht(inst, s, star)
+        assert mht_sum(inst, list(s[1:]), star, memo) == \
+            literal_mht(inst, s[1:], star)
+
+
 def test_mht_sum_validates_exponents():
     inst = random_instance(0, ZModRing(5), (3, 2))
     with pytest.raises(ValueError):
