@@ -96,3 +96,26 @@ def stack_rank(spec: FieldSpec, vectors: list[list[int]]) -> int:
     if not vectors:
         return 0
     return FqMatrix(spec, vectors).rank()
+
+
+def spans(spec: FieldSpec, basis: list[list[int]],
+          vectors: list[list[int]]) -> bool:
+    """Whether every vector lies in the span of ``basis``, whose rows must
+    have their last nonzero entries in distinct columns, as a ``nullspace``
+    basis does (each row ends at its free column).  Each vector is reduced
+    against the rows from its last column down; the basis is never reduced.
+    """
+    rows = {}
+    for vec in basis:
+        row = Poly.from_indices(spec, vec).monic()
+        if row.degree() in rows:
+            raise ValueError("basis rows must end in distinct columns")
+        rows[row.degree()] = row
+    for vec in vectors:
+        x = Poly.from_indices(spec, vec)
+        while not x.is_zero():
+            row = rows.get(x.degree())
+            if row is None:
+                return False
+            x = x - row.scale(x.lead_index())
+    return True

@@ -2,8 +2,14 @@
 
 S_d(k) sums a^(-k) over all monic a of degree d and lives in F_q(t).  At a
 prime v the sums are the coprime variant S~_d(k), which skips the multiples
-of v, and live in A/(v^N).  Everything is memoized per key -- the nested
-zeta sums re-read these heavily.
+of v, and live in A/(v^N).  Every sum is memoized per key -- the nested zeta
+sums re-read these heavily.
+
+The residue sums read one cached unit table per (ring, d): the images mod
+v^N of the monics of degree d prime to v.  Its inverses cost a single
+inversion (Montgomery's simultaneous inversion, Math. Comp. 48, 1987,
+Section 10.3), and the list of e-th powers of its units is cached, so
+S~_d(k) for the next |k| costs one multiplication per unit.
 
 A counting shortcut applies at finite precision: monic polynomials of degree
 d >= N*deg(v) are equidistributed over the residue classes mod v^N with
@@ -14,10 +20,8 @@ shortcut is exercised against literal enumeration in the test suite.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import tempfile
+from itertools import accumulate
+from operator import mul
 
 from .errors import CapTooSmall
 from .fields import FieldSpec
@@ -29,7 +33,8 @@ from .residue import ResidueElem, ResidueRing
 _exact_cache: dict[tuple, LFrac] = {}
 _residue_cache: dict[tuple, ResidueElem] = {}
 _vanish_cache: dict[tuple, Poly] = {}
-_disk_cache: dict[str, dict | None] = {}  # None: file unusable
+# (ring, d, e) -> [u^e for u in the unit table of (ring, d)]; e = 1 is the table
+_power_lists: dict[tuple, list[ResidueElem]] = {}
 
 
 def _exact_frac(spec: FieldSpec, d: int, k: int) -> LFrac:
@@ -63,29 +68,51 @@ def _residue_sum(spec: FieldSpec, d: int, k: int, v: Poly, N: int) -> ResidueEle
     if hit is not None:
         return hit
     ring = ResidueRing(v, N)
-    disk = _load_disk_cache(spec)
-    disk_key = None
-    if disk is not None:
-        # the trailing 1 marks a coprime sum; keys ending in |0 (sums over
-        # every monic, written by older versions) are never read
-        disk_key = f"{v}|{N}|{d}|{k}|1"
-        stored = disk.get(disk_key)
-        if stored is not None:
-            out = ring.image(Poly.from_indices(spec, stored))
-            _residue_cache[key] = out
-            return out
-
     out = ring.zero()
     # every residue class mod v^N holds q^(d - N deg v) monics of degree
     # d > N deg v, so those sums vanish
     if d <= N * v.degree():
-        for a in monic_polys(spec, d):
-            if not (a % v).is_zero():
-                out = out + ring.image(a) ** -k
+        out = sum(_powers(ring, d, -k), out)
     _residue_cache[key] = out
-    if disk is not None:
-        disk[disk_key] = out.rep.coeff_indices()
-        _store_disk_cache(spec, disk)
+    return out
+
+
+def _powers(ring: ResidueRing, d: int, e: int) -> list[ResidueElem]:
+    """[u^e for u in the unit table of (ring, d)], cached.  Built from the
+    cached list for e -/+ 1 by one multiplication per unit when there is one,
+    else by raising each base unit (u or 1/u) to |e|."""
+    key = (ring, d, e)
+    hit = _power_lists.get(key)
+    if hit is not None:
+        return hit
+    if e == 1:
+        v = ring.v
+        hit = [ring.image(a) for a in monic_polys(v.spec, d)
+               if not (a % v).is_zero()]
+    elif e == -1:
+        hit = _inverses(_powers(ring, d, 1))
+    else:
+        step = 1 if e > 0 else -1
+        base = _powers(ring, d, step)
+        prev = _power_lists.get((ring, d, e - step))
+        if prev is not None:
+            hit = [x * u for x, u in zip(prev, base)]
+        else:
+            hit = [u ** abs(e) for u in base]
+    _power_lists[key] = hit
+    return hit
+
+
+def _inverses(units: list[ResidueElem]) -> list[ResidueElem]:
+    """The inverses of a nonempty list of units by Montgomery's trick: prefix
+    products, one inversion, one backward sweep; 3(n-1) multiplications."""
+    prefix = list(accumulate(units, mul))
+    inv = prefix[-1].inv()
+    out = [inv] * len(units)
+    for i in range(len(units) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1]
+        inv = inv * units[i]
+    out[0] = inv
     return out
 
 
@@ -124,66 +151,3 @@ def _power_poly_sum(spec: FieldSpec, d: int, m: int) -> Poly:
             acc = acc + a ** m
         _vanish_cache[key] = hit = acc
     return hit
-
-
-# -- optional on-disk cache (MZV_CACHE_DIR) -------------------------------------
-
-
-def _cache_path(spec: FieldSpec) -> str | None:
-    root = os.environ.get("MZV_CACHE_DIR")
-    if not root:
-        return None
-    safe = spec.spec_string().replace(";", "_").replace("=", "").replace("^", "p") \
-        .replace("*", "").replace("+", "_")
-    return os.path.join(root, f"power_sums_{safe}.json")
-
-
-def _load_disk_cache(spec: FieldSpec) -> dict | None:
-    """The cache file's entries, or None to run without a disk cache.
-
-    A file that cannot be read, or is not a JSON object mapping keys to
-    lists of F_q element indices, is left untouched: this process warns once
-    and runs without it.
-    """
-    path = _cache_path(spec)
-    if path is None:
-        return None
-    if path in _disk_cache:
-        return _disk_cache[path]
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = None
-        if not _well_formed(data, spec):
-            print(f"warning: ignoring unreadable or malformed cache file "
-                  f"{path}; running without the disk cache", file=sys.stderr)
-            data = None
-    _disk_cache[path] = data
-    return data
-
-
-def _well_formed(data, spec: FieldSpec) -> bool:
-    return isinstance(data, dict) and all(
-        isinstance(rep, list)
-        and all(type(a) is int and 0 <= a < spec.q for a in rep)
-        for rep in data.values())
-
-
-def _store_disk_cache(spec: FieldSpec, data: dict):
-    path = _cache_path(spec)
-    if path is None:
-        return
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    # one temp file per writer: concurrent writers never move each other's
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise

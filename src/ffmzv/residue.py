@@ -140,13 +140,14 @@ class ResidueElem:
     def __pow__(self, e: int) -> "ResidueElem":
         base = self.inv() if e < 0 else self
         e = abs(e)
-        out = self.ring.one()
+        out = None  # the ring's one, never multiplied in
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return self.ring.one() if out is None else out
 
     def scale_int(self, c: int) -> "ResidueElem":
         return self._wrap(self.rep.scale(self.spec.from_int(c)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidScope, ScopeMismatch
 from .fields import FieldSpec
-from .linalg import FqMatrix, nullspace, stack_rank
+from .linalg import FqMatrix, nullspace, spans, stack_rank
 from .poly import Poly
 from .relations import (FormalRelation, Thm3Config, gen_thm2, gen_thm3,
                         is_q_even, is_trivial_zero)
@@ -183,10 +183,11 @@ def compare_with_universal(found: list[FormalRelation],
                            scope: SearchScope) -> dict:
     """Report comparing the found nullspace with the universal span.
 
-    ``found`` is an independent set, as ``find_relations`` returns it (a
-    nullspace basis), so its dimension is its length.  Containment of the
-    universal span in the found span is theorem-backed once columns
-    stabilize; the residual counts found directions beyond it.
+    ``found`` is a nullspace basis, as ``find_relations`` returns it, so its
+    dimension is its length and containment reduces the universal vectors
+    against it without reducing it again.  Containment of the universal
+    span in the found span is theorem-backed once columns stabilize; the
+    residual counts found directions beyond it.
     """
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
@@ -199,8 +200,7 @@ def compare_with_universal(found: list[FormalRelation],
 
     dim_found = len(found)
     dim_universal = stack_rank(spec, uni_vecs)
-    stacked = stack_rank(spec, found_vecs + uni_vecs)
-    containment = stacked == dim_found
+    containment = spans(spec, found_vecs, uni_vecs)
 
     # every column is exact, or none is: stabilized means D >= the bound
     exact = scope.D is None or scope.D >= exact_bound(scope.v, scope.N)

@@ -1,8 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import FieldSpec, FqMatrix, nullspace, stack_rank
+from ffmzv.linalg import spans
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -141,3 +143,28 @@ def test_packed_elimination_on_zero_and_unnormalised_matrices():
         entries = [[0, a, 1, 0], [0, a, 1, 0], [b, 0, 0, a], [0, 0, 0, 0]]
         assert FqMatrix(spec, entries).rref() == \
             reference_rref(spec, entries, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices().filter(lambda case: case[2] <= 65),
+       st.integers(0, 2 ** 32 - 1))
+def test_spans_matches_the_rank_of_the_stack(case, seed):
+    # vectors in and out of a nullspace basis's span: the matrix's own rows
+    # and random combinations of the basis; up to 65 columns, so the rank
+    # of the stacked reference stays cheap
+    spec, entries, cols = case
+    basis = nullspace(FqMatrix(spec, entries, cols=cols))
+    rng = random.Random(seed)
+    vectors = [[spec.add(spec.mul(rng.randrange(spec.q), x), y)
+                for x, y in zip(a, b)]
+               for a, b in zip(basis, basis[1:] + basis[:1])]
+    for vecs in [vectors, entries, entries[:1], []]:
+        assert spans(spec, basis, vecs) == \
+            (stack_rank(spec, basis + vecs) == len(basis))
+
+
+def test_spans_needs_rows_ending_in_distinct_columns():
+    assert spans(F3, [[1, 2, 0], [0, 0, 2]], [[2, 1, 1]])
+    assert not spans(F3, [[1, 2, 0], [0, 0, 2]], [[0, 1, 0]])
+    with pytest.raises(ValueError):
+        spans(F2, [[1, 1], [0, 1]], [[1, 0]])

@@ -1,15 +1,14 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ffmzv import (FieldSpec, Poly, RationalFn, ResidueRing, monic_polys,
-                   parse_poly, vanish_degree)
+from ffmzv import (FieldSpec, Poly, RationalFn, ResidueRing,
+                   irreducible_polys, monic_polys, parse_poly, vanish_degree)
+from ffmzv import power_sums
 from ffmzv.errors import CapTooSmall
-from ffmzv.power_sums import _exact_frac, _residue_sum, default_vanish_cap
+from ffmzv.power_sums import (_exact_frac, _inverses, _powers, _residue_sum,
+                              default_vanish_cap)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -82,36 +81,58 @@ def test_high_degree_coprime_sums_vanish_at_precision():
             assert total.is_zero()
 
 
-_CACHE_WRITER = """
-from ffmzv import FieldSpec, parse_poly
-from ffmzv.power_sums import _residue_sum
-spec = FieldSpec.parse("q=2")
-v = parse_poly("t", spec)
-for k in range(1, 80):
-    for d in range(4):
-        _residue_sum(spec, d, k, v, 3)
-"""
+# (v, N) for every prime v of degree <= 2 over F_2, F_3, F_4 and N <= 3
+RESIDUE_CASES = [(v, N) for q in (2, 3, 4)
+                 for deg in (1, 2)
+                 for v in irreducible_polys(FieldSpec.parse(f"q={q}"), deg)
+                 for N in (1, 2, 3)]
+# largest d whose literal sums stay cheap: q^d <= 81
+LITERAL_DEGREE = {2: 6, 3: 4, 4: 3}
 
 
-def test_concurrent_disk_cache_writers(tmp_path):
-    # every new entry rewrites the cache file, so two processes filling the
-    # same MZV_CACHE_DIR replace it hundreds of times side by side
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, MZV_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    procs = [subprocess.Popen([sys.executable, "-c", _CACHE_WRITER], env=env,
-                              stderr=subprocess.PIPE, text=True)
-             for _ in range(2)]
-    for proc in procs:
-        _, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err
-    files = os.listdir(tmp_path)
-    assert len(files) == 1 and files[0].endswith(".json"), files
-    with open(tmp_path / files[0]) as fh:
-        data = json.load(fh)
-    assert len(data) == 79 * 4
-    assert all(isinstance(rep, list) for rep in data.values())
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(RESIDUE_CASES), d=st.integers(0, 7),
+       ks=st.lists(st.integers(-4, 12), min_size=1, max_size=5, unique=True))
+@example(case=(V2, 3), d=3, ks=[3, 4, 2, -2, -1, -3, 0])
+def test_unit_table_sums_match_literal_sums(case, d, ks):
+    """The residue sums from the cached unit tables equal the literal sums,
+    with k requested in a drawn order from empty caches, so a power list is
+    built from the one for |k| - 1 when that came first, else by raising
+    each unit to |k|."""
+    v, N = case
+    spec = v.spec
+    d = min(d, N * v.degree() + 1, LITERAL_DEGREE[spec.q])
+    power_sums._residue_cache.clear()
+    power_sums._power_lists.clear()
+    ring = ResidueRing(v, N)
+    for k in ks:
+        literal = literal_power_sum(spec, d, k, coprime_to=v)
+        assert _residue_sum(spec, d, k, v, N) == ring.from_ratfn(literal), \
+            (str(v), N, d, k)
+
+
+def test_batched_inverses_match_single_inverses():
+    for v, N in RESIDUE_CASES:
+        ring = ResidueRing(v, N)
+        for d in range(min(N * v.degree(), 3) + 1):
+            table = _powers(ring, d, 1)
+            assert _inverses(table) == [u.inv() for u in table]
+            assert _powers(ring, d, -1) == _inverses(table)
+    # a table of one unit, as at d = 0, and one that is not 1
+    ring = ResidueRing(V2, 2)
+    assert _powers(ring, 0, 1) == [ring.one()]
+    assert _inverses([ring.one()]) == [ring.one()]
+    u = ring.image(parse_poly("t", F2))
+    assert _inverses([u]) == [u.inv()]
+
+
+def test_large_exponent_sum_is_fast():
+    # |k| = 10^4 costs about log2(|k|) multiplications per unit
+    power_sums._residue_cache.clear()
+    power_sums._power_lists.clear()
+    start = time.monotonic()
+    _residue_sum(F2, 2, 10 ** 4, V2, 3)
+    assert time.monotonic() - start < 0.5
 
 
 def test_vanish_degree():
@@ -133,44 +154,3 @@ def test_vanish_cap_matches_a_large_cap():
             cap = default_vanish_cap(m, spec)
             assert vanish_degree(m, spec, cap) == \
                 vanish_degree(m, spec, cap + 2), (spec.q, m)
-
-
-def test_disk_cache_never_reads_sums_over_all_monics(tmp_path, monkeypatch):
-    # entries ending in |0 held sums over every monic, multiples of v
-    # included; a coprime sum must be computed, not read from them
-    from ffmzv import power_sums
-    monkeypatch.setenv("MZV_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(power_sums, "_disk_cache", {})
-    monkeypatch.setattr(power_sums, "_residue_cache", {})
-    path = power_sums._cache_path(F2)
-    with open(path, "w") as fh:
-        json.dump({f"{T2}|2|1|1|0": [1]}, fh)
-    value = _residue_sum(F2, 1, 1, T2, 2)
-    assert value == ResidueRing(T2, 2).from_ratfn(
-        literal_power_sum(F2, 1, 1, coprime_to=T2))
-    with open(path) as fh:
-        assert json.load(fh)[f"{T2}|2|1|1|1"] == value.rep.coeff_indices()
-
-
-@pytest.mark.parametrize("content", ["[]", '{"a":'])
-def test_malformed_disk_cache_is_ignored_and_kept(tmp_path, content):
-    # valid JSON that is no object, and a truncated file: the run warns once
-    # on stderr, prints what it prints without a cache, and leaves the file
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("MZV_CACHE_DIR", None)
-    argv = [sys.executable, "-m", "ffmzv.cli", "compute", "--tuple", "(1,2)",
-            "--v", "t", "--N", "2"]
-    plain = subprocess.run(argv, env=env, capture_output=True, text=True,
-                           timeout=120)
-    path = tmp_path / "power_sums_q2.json"
-    path.write_text(content)
-    cached = subprocess.run(argv, env=dict(env, MZV_CACHE_DIR=str(tmp_path)),
-                            capture_output=True, text=True, timeout=120)
-    assert (cached.returncode, cached.stdout) == (0, plain.stdout)
-    assert plain.returncode == 0 and plain.stdout
-    warnings = cached.stderr.splitlines()
-    assert len(warnings) == 1 and str(path) in warnings[0], cached.stderr
-    assert path.read_text() == content
-    assert os.listdir(tmp_path) == [path.name]

@@ -1,7 +1,7 @@
 import pytest
 
-from ffmzv import (AtLeast, FieldSpec, Poly, RationalFn, ResidueRing,
-                   parse_poly, poly_inv_mod, v_valuation)
+from ffmzv import (AtLeast, FieldSpec, Poly, RationalFn, ResidueElem,
+                   ResidueRing, parse_poly, poly_inv_mod, v_valuation)
 from ffmzv.errors import InvalidPrime, MixedModulus, NotInvertible
 
 F2 = FieldSpec.parse("q=2")
@@ -30,6 +30,30 @@ def test_arithmetic_mod_v_power():
     assert (x * y).rep == parse_poly("t^2", F2)  # t^3 truncated away
     assert (x.inv() * x).rep == Poly.one(F2)
     assert (x ** -2) * (x ** 2) == ResidueRing(T2, 3).one()
+
+
+def test_pow_costs_no_multiplication_by_one(monkeypatch):
+    # square-and-multiply from the base itself: bit_length - 1 squarings and
+    # popcount - 1 products, so u ** 1 costs nothing
+    ring = ResidueRing(V2, 3)
+    u = ring.image(parse_poly("t^3+t", F2))
+    expected = ring.one()
+    powers = {0: expected}
+    for e in range(1, 12):
+        expected = expected * u
+        powers[e] = expected
+    products = []
+    mul = ResidueElem.__mul__
+    monkeypatch.setattr(ResidueElem, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for e in range(12):
+        products.clear()
+        assert u ** e == powers[e]
+        assert len(products) == max(e.bit_length() + bin(e).count("1") - 2, 0)
+    assert u ** 1 is u
+    assert (u ** -5) * powers[5] == ring.one()
+    with pytest.raises(NotInvertible):
+        ring.image(V2) ** -1
 
 
 def test_mixed_modulus_rejected():
