@@ -24,7 +24,7 @@ from .relations import (Finite, Thm3Config, TruncatedExact, Vadic,
                         evaluate_relation, gen_thm2, gen_thm3, gen_thmA,
                         gen_thmB)
 from .search import SearchScope, compare_with_universal, find_relations
-from .zeta import (TruncationConfig, parse_composition,
+from .zeta import (TruncationConfig, exact_bound, parse_composition,
                    truncated_mzv, vadic_mzv, vadic_mzv_auto, finite_mzv)
 
 
@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-max", type=int, required=True)
     p.add_argument("--depth-max", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--D", type=int, default=None)
     p.add_argument("--include-negatives", action="store_true")
     p.add_argument("--all-tuples", action="store_true",
                    help="drop the q-even-only filter")
@@ -158,6 +157,9 @@ def _run_compute(args, spec: FieldSpec) -> dict:
         passed = report.stabilized
     elif args.v is not None:
         v = _parse_prime(args.v, spec)
+        if args.D is not None:
+            raise ParseError(f"--D with --v needs --N; the finite value is "
+                             f"exact at D = deg(v) = {v.degree()}")
         value = finite_mzv(v, s, args.star, spec)
         result.update(evaluator="finite", v=str(v), value=str(value))
     else:
@@ -187,15 +189,19 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         if args.D is None:
             raise ParseError("--evaluator trunc requires --D")
         evaluator = TruncatedExact(D=args.D, star=args.star)
-    elif args.evaluator == "finite":
-        if args.v is None:
-            raise ParseError("--evaluator finite requires --v")
-        evaluator = Finite(v=_parse_prime(args.v, spec), star=args.star)
     else:
         if args.v is None:
-            raise ParseError("--evaluator vadic requires --v")
-        evaluator = Vadic(v=_parse_prime(args.v, spec), N=args.N, D=args.D,
-                          star=args.star)
+            raise ParseError(f"--evaluator {args.evaluator} requires --v")
+        v = _parse_prime(args.v, spec)
+        if args.D is not None:
+            # finite and v-adic values are summed to the degree where they
+            # are exact; a partial sum would be a vacuous PASS
+            exact = (f"deg(v) = {v.degree()}" if args.evaluator == "finite"
+                     else f"N*deg(v)+1 = {exact_bound(v, args.N)}")
+            raise ParseError(f"--D is only for --evaluator trunc; the "
+                             f"{args.evaluator} value is exact at D = {exact}")
+        evaluator = (Finite(v=v, star=args.star) if args.evaluator == "finite"
+                     else Vadic(v=v, N=args.N, star=args.star))
     value, verdict = evaluate_relation(rel, evaluator)
     return {"command": "verify", "q": spec.q, "family": args.family,
             "input": inp, "evaluator": args.evaluator, "star": args.star,
@@ -206,7 +212,7 @@ def _run_verify(args, spec: FieldSpec) -> dict:
 def _run_search(args, spec: FieldSpec) -> dict:
     v = _parse_prime(args.v, spec)
     scope = SearchScope(spec=spec, v=v, weight_max=args.weight_max,
-                        depth_max=args.depth_max, N=args.N, D=args.D,
+                        depth_max=args.depth_max, N=args.N,
                         q_even_only=not args.all_tuples,
                         include_negatives=args.include_negatives)
     found = find_relations(scope)

@@ -221,9 +221,6 @@ class Poly:
     def is_monic(self) -> bool:
         return not self.is_zero() and self.lead_index() == 1
 
-    def constant_index(self) -> int:
-        return self.coeff_index(0)
-
     # -- equality / hashing -----------------------------------------------------
 
     def __eq__(self, other):
@@ -454,12 +451,6 @@ def irreducible_polys(spec: FieldSpec, degree: int):
 
 
 # -- parsing / printing ----------------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"^\s*(?:\(([^()]*)\)|(\d+)|a(?:\^(\d+))?|(\d+)\*a(?:\^(\d+))?)?"
-    r"\s*\*?\s*(t(?:\^(\d+))?)?\s*$"
-)
-
 
 def _parse_fq_scalar(text: str, spec: FieldSpec) -> int:
     """Parse an F_q scalar like "2", "a", "a^2", "2*a", or "a+1"."""

@@ -32,7 +32,6 @@ from .residue import ResidueElem, ResidueRing
 
 _exact_cache: dict[tuple, LFrac] = {}
 _residue_cache: dict[tuple, ResidueElem] = {}
-_vanish_cache: dict[tuple, Poly] = {}
 # (ring, d, e) -> [u^e for u in the unit table of (ring, d)]; e = 1 is the table
 _power_lists: dict[tuple, list[ResidueElem]] = {}
 
@@ -123,10 +122,10 @@ def vanish_degree(m: int, spec: FieldSpec, cap: int) -> int:
         raise ValueError("exponent must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if not _power_poly_sum(spec, cap, m).is_zero():
+    if not _exact_frac(spec, cap, -m).is_zero():
         raise CapTooSmall(f"S_{cap}(-{m}) != 0; raise the cap")
     for d in range(cap - 1, 0, -1):
-        if not _power_poly_sum(spec, d, m).is_zero():
+        if not _exact_frac(spec, d, -m).is_zero():
             return d
     return 0  # S_0(-m) = 1 never vanishes
 
@@ -140,14 +139,3 @@ def default_vanish_cap(m: int, spec: FieldSpec) -> int:
         n, r = divmod(n, spec.q)
         digits += r
     return digits // (spec.q - 1) + 1
-
-
-def _power_poly_sum(spec: FieldSpec, d: int, m: int) -> Poly:
-    key = (spec, d, m)
-    hit = _vanish_cache.get(key)
-    if hit is None:
-        acc = Poly.zero(spec)
-        for a in monic_polys(spec, d):
-            acc = acc + a ** m
-        _vanish_cache[key] = hit = acc
-    return hit

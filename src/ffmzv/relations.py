@@ -26,8 +26,8 @@ from .fields import FieldSpec
 from .poly import Poly
 from .power_sums import default_vanish_cap, vanish_degree
 from .residue import ResidueRing
-from .zeta import (Composition, TruncationConfig, _truncated_frac, exact_bound,
-                   exact_ring, finite_mzv, vadic_mzv, vadic_mzv_auto)
+from .zeta import (Composition, _truncated_frac, exact_ring, finite_mzv,
+                   vadic_mzv_auto)
 
 # -- generic term builders (integer coefficients, plain tuples) -----------------
 
@@ -363,29 +363,18 @@ class Finite:
 
 @dataclass(frozen=True)
 class Vadic:
+    """The v-adic value mod v^N, always at the exact bound
+    D = N*deg(v)+1 (``zeta.exact_bound``): past it the chain sum does not
+    change, and below it a zero would be a vacuous ValuationAtLeast(N)."""
     v: Poly
     N: int
-    D: int | None = None  # None: exact_bound(v, N)
     star: bool = False
-
-    def __post_init__(self):
-        bound = exact_bound(self.v, self.N)
-        if self.D is not None and self.D < bound:
-            # below the bound the value is only a partial sum, and a zero
-            # there would read as a vacuous ValuationAtLeast(N)
-            raise InvalidEvaluator(
-                f"D={self.D} is below N*deg(v)+1 = {bound}, the least D at "
-                "which the v-adic value is exact")
 
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, self.N)
 
     def value(self, s: Composition, spec: FieldSpec, memo=None):
-        if self.D is None:
-            return vadic_mzv_auto(self.v, s, self.N, self.star, spec,
-                                  memo).value
-        cfg = TruncationConfig(D=self.D, N=self.N, star=self.star)
-        return vadic_mzv(self.v, s, cfg, spec, memo=memo).value
+        return vadic_mzv_auto(self.v, s, self.N, self.star, spec, memo).value
 
     def verdict(self, acc):
         # a nonzero residue mod v^N has valuation < N

@@ -28,6 +28,17 @@ class AtLeast:
 PLUS_INFINITY = AtLeast(10 ** 9)  # valuation of an exactly-zero rational function
 
 
+def _poly_valuation(g: Poly, v: Poly) -> int:
+    """The exponent of v in a nonzero polynomial g."""
+    val = 0
+    while True:
+        q, rem = divmod(g, v)
+        if not rem.is_zero():
+            return val
+        val += 1
+        g = q
+
+
 def _check_prime(v: Poly):
     if not v.is_monic() or not is_irreducible(v):
         raise InvalidPrime(f"{v} is not a monic irreducible polynomial")
@@ -161,13 +172,7 @@ class ResidueElem:
     def valuation(self) -> int | AtLeast:
         if self.rep.is_zero():
             return AtLeast(self.N)
-        val, r = 0, self.rep
-        while True:
-            q, rem = divmod(r, self.v)
-            if not rem.is_zero():
-                return val
-            val += 1
-            r = q
+        return _poly_valuation(self.rep, self.v)
 
     def __eq__(self, other):
         if not isinstance(other, ResidueElem):
@@ -197,16 +202,4 @@ def v_valuation(x: RationalFn | ResidueElem, v: Poly) -> int | AtLeast:
         return x.valuation()
     if x.is_zero():
         return PLUS_INFINITY
-
-    def pval(g: Poly) -> int:
-        val = 0
-        while True:
-            q, rem = divmod(g, v)
-            if not rem.is_zero():
-                return val
-            val += 1
-            g = q
-
-    num_val = 0 if x.num.degree() == 0 else pval(x.num)
-    den_val = 0 if x.den.degree() == 0 else pval(x.den)
-    return num_val - den_val
+    return _poly_valuation(x.num, v) - _poly_valuation(x.den, v)

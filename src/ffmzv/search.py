@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidScope, ScopeMismatch
+from .errors import InvalidFamilyInput, InvalidScope, ScopeMismatch
 from .fields import FieldSpec
 from .linalg import FqMatrix, nullspace, spans, stack_rank
 from .poly import Poly
 from .relations import (FormalRelation, Thm3Config, gen_thm2, gen_thm3,
                         is_q_even, is_trivial_zero)
-from .zeta import (Composition, TruncationConfig, exact_bound, vadic_mzv,
-                   vadic_mzv_auto)
+from .zeta import Composition, vadic_mzv_auto
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class SearchScope:
     weight_max: int
     depth_max: int
     N: int
-    D: int | None = None  # None: exact_bound(v, N)
     q_even_only: bool = True
     include_negatives: bool = False
 
@@ -48,7 +46,6 @@ class SearchScope:
             "weight_max": self.weight_max,
             "depth_max": self.depth_max,
             "N": self.N,
-            "D": self.D,
             "q_even_only": self.q_even_only,
             "include_negatives": self.include_negatives,
         }
@@ -89,11 +86,7 @@ def enumerate_tuples(scope: SearchScope) -> list[Composition]:
 
 def _value_vector(s: Composition, scope: SearchScope,
                   memo: dict) -> ValueVector:
-    if scope.D is None:
-        report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec, memo)
-    else:
-        cfg = TruncationConfig(D=scope.D, N=scope.N)
-        report = vadic_mzv(scope.v, s, cfg, scope.spec, memo=memo)
+    report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec, memo)
     m = scope.N * scope.v.degree()
     coords = tuple(report.value.rep.coeff_index(i) for i in range(m))
     return ValueVector(tuple=s, coords=coords, stabilized=report.stabilized)
@@ -102,7 +95,7 @@ def _value_vector(s: Composition, scope: SearchScope,
 def value_matrix(tuples: list[Composition],
                  scope: SearchScope) -> tuple[FqMatrix, list[ValueVector]]:
     """Matrix whose column j holds the F_q coordinates of tuple j's v-adic
-    value at precision N; unstabilized columns flagged, never dropped.
+    value at precision N, exact at the bound D = N*deg(v)+1.
     The columns share one memo of suffix DP tables: every suffix of an
     in-scope tuple is in scope, and shallower tuples come first."""
     memo = {}
@@ -143,21 +136,18 @@ def _universal_relations(scope: SearchScope,
             if all(f in in_scope for _, fs in rel.terms for f in fs):
                 rels.append(rel)
 
-    if spec.p == 2:
-        for phi in range(2, scope.depth_max + 1):
-            for s0 in itertools.combinations_with_replacement(evens, phi):
-                if sum(s0) > scope.weight_max:
-                    continue
-                pairs = tuple(sorted((s, s0.count(s)) for s in set(s0)))
-                entries = set(s0) | {2 * s for s, k in pairs if k > 1}
-                if len(entries) < len(set(s0)) + sum(1 for _, k in pairs if k > 1):
-                    continue
-                if any(k > 1 and not is_q_even(2 * s, spec) for s, k in pairs):
-                    continue
+    for phi in range(2, scope.depth_max + 1):
+        for s0 in itertools.combinations_with_replacement(evens, phi):
+            if sum(s0) > scope.weight_max:
+                continue
+            pairs = tuple(sorted((s, s0.count(s)) for s in set(s0)))
+            try:
                 rel = gen_thm3(Thm3Config(pairs), spec)
-                if rel.terms and all(f in in_scope
-                                     for _, fs in rel.terms for f in fs):
-                    rels.append(rel)
+            except InvalidFamilyInput:
+                continue
+            if rel.terms and all(f in in_scope
+                                 for _, fs in rel.terms for f in fs):
+                rels.append(rel)
 
     for s in tuples:
         if is_trivial_zero(s, scope.v, spec):
@@ -185,9 +175,11 @@ def compare_with_universal(found: list[FormalRelation],
 
     ``found`` is a nullspace basis, as ``find_relations`` returns it, so its
     dimension is its length and containment reduces the universal vectors
-    against it without reducing it again.  Containment of the universal
-    span in the found span is theorem-backed once columns stabilize; the
-    residual counts found directions beyond it.
+    against it without reducing it again.  Every column is the exact value
+    mod v^N, taken at the bound D = N*deg(v)+1, so containment of the
+    universal span in the found span is theorem-backed and
+    ``unstabilized_columns`` is always empty; the residual counts found
+    directions beyond it.
     """
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
@@ -202,16 +194,12 @@ def compare_with_universal(found: list[FormalRelation],
     dim_universal = stack_rank(spec, uni_vecs)
     containment = spans(spec, found_vecs, uni_vecs)
 
-    # every column is exact, or none is: stabilized means D >= the bound
-    exact = scope.D is None or scope.D >= exact_bound(scope.v, scope.N)
-    unstabilized = [] if exact else [str(s) for s in tuples]
-
     return {
         "scope": scope.describe(),
         "dim_found": dim_found,
         "dim_universal": dim_universal,
         "containment": containment,
         "residual": dim_found - dim_universal,
-        "unstabilized_columns": unstabilized,
+        "unstabilized_columns": [],
         "relations": [r.to_json_lines() for r in found],
     }

@@ -107,6 +107,17 @@ def test_exit_code_2_on_usage_errors(capsys):
     for D in ("0", "-3"):  # an empty truncated sum is no PASS
         assert main(["verify", "--family", "thm2", "--tuple", "(1,2,3)",
                      "--evaluator", "trunc", "--D", D]) == 2, D
+    # --D is for trunc and compute --N alone: a search below the bound of 7
+    # would list every column as unstabilized and still pass
+    assert main(["search", "--v", "t", "--weight-max", "6", "--depth-max",
+                 "3", "--N", "6", "--D", "4"]) == 2
+    assert main(["verify", "--family", "thm2", "--tuple", "(1,2,4)",
+                 "--evaluator", "vadic", "--v", "t", "--N", "2", "--D",
+                 "3"]) == 2
+    assert main(["verify", "--family", "thm3", "--pairs", "(1:2),(3:2)",
+                 "--evaluator", "finite", "--v", "t^2+t+1", "--D", "3"]) == 2
+    assert main(["compute", "--tuple", "(1,2)", "--v", "t^2+t+1", "--D",
+                 "3"]) == 2
     assert main(["nonsense"]) == 2
     for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1"):
         assert main(["harmonic", "--ring", ring, "--checks", "1"]) == 2, ring
