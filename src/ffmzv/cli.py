@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("trunc", "finite", "vadic"))
     p.add_argument("--v", default=None)
     p.add_argument("--D", type=int, default=None)
-    p.add_argument("--N", type=int, default=4)
+    p.add_argument("--N", type=int, default=None,
+                   help="v-adic precision (--evaluator vadic; default 4)")
 
     p = sub.add_parser("search", help="relation scan at fixed precision")
     common(p)
@@ -185,7 +186,13 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         rel = gen_thm3(cfg, spec) if args.family == "thm3" else gen_thmB(cfg, spec)
         inp = ",".join(f"({s}:{k})" for s, k in cfg.pairs)
 
+    # a flag the evaluator would ignore is refused, not dropped silently
+    if args.N is not None and args.evaluator != "vadic":
+        raise ParseError(f"--N is only for --evaluator vadic, "
+                         f"not {args.evaluator}")
     if args.evaluator == "trunc":
+        if args.v is not None:
+            raise ParseError("--v is not used by --evaluator trunc")
         if args.D is None:
             raise ParseError("--evaluator trunc requires --D")
         evaluator = TruncatedExact(D=args.D, star=args.star)
@@ -193,15 +200,16 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         if args.v is None:
             raise ParseError(f"--evaluator {args.evaluator} requires --v")
         v = _parse_prime(args.v, spec)
+        N = 4 if args.N is None else args.N
         if args.D is not None:
             # finite and v-adic values are summed to the degree where they
             # are exact; a partial sum would be a vacuous PASS
             exact = (f"deg(v) = {v.degree()}" if args.evaluator == "finite"
-                     else f"N*deg(v)+1 = {exact_bound(v, args.N)}")
+                     else f"N*deg(v)+1 = {exact_bound(v, N)}")
             raise ParseError(f"--D is only for --evaluator trunc; the "
                              f"{args.evaluator} value is exact at D = {exact}")
         evaluator = (Finite(v=v, star=args.star) if args.evaluator == "finite"
-                     else Vadic(v=v, N=args.N, star=args.star))
+                     else Vadic(v=v, N=N, star=args.star))
     value, verdict = evaluate_relation(rel, evaluator)
     return {"command": "verify", "q": spec.q, "family": args.family,
             "input": inp, "evaluator": args.evaluator, "star": args.star,

@@ -4,6 +4,13 @@ Field elements are represented as plain integers in [0, q): the element with
 coordinate vector (c_0, ..., c_{f-1}) on the power basis of the generator is
 encoded as sum(c_i * p^i).  FieldSpec owns the modulus and the operation
 tables; all element-level functions take the index representation.
+
+The tables are built on the one polynomial kernel, ``poly.Poly`` over the
+prime field: the default modulus is the first monic irreducible in
+``monic_polys`` order, an extension product is a product of coordinate
+polynomials reduced mod the modulus, and ``x_power_coords`` reads off
+x^j mod the modulus.  A prime field multiplies as ``a * b % p``.  Each
+table is built once per field, on first use.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import DivisionByZero, InvalidFieldSpec, ParseError
+from .poly import Poly, irreducible_polys, is_irreducible
 
 
 def is_prime(n: int) -> bool:
@@ -37,74 +45,6 @@ def _split_prime_power(q: int) -> tuple[int, int]:
         if m == 1 and f >= 1:
             return p, f
     raise InvalidFieldSpec(f"{q} is not a prime power")
-
-
-# -- F_p[x] helpers on ascending int lists (used only for the field modulus) --
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = a[-1] % p
-        if c:
-            shift = len(a) - len(b)
-            factor = (c * inv_lead) % p
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - factor * bi) % p
-        a.pop()
-        _fp_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _fp_irreducible(mod, p) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(mod)/2."""
-    deg = len(mod) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            div = []
-            m = idx
-            for _ in range(d):
-                div.append(m % p)
-                m //= p
-            div.append(1)
-            if not _fp_mod(mod, div, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree f over F_p."""
-    for idx in range(p ** f):
-        cand = []
-        m = idx
-        for _ in range(f):
-            cand.append(m % p)
-            m //= p
-        cand.append(1)
-        if _fp_irreducible(cand, p):
-            return tuple(cand)
-    raise InvalidFieldSpec(f"no irreducible modulus of degree {f} over F_{p}")
 
 
 _MOD_TERM = re.compile(r"^(?:(\d+)\*?)?(?:x(?:\^(\d+))?)?$")
@@ -150,12 +90,14 @@ class FieldSpec:
         if f == 1:
             modulus = (0, 1)  # placeholder, never used
         else:
+            prime = FieldSpec(p)
             if modulus is None:
-                modulus = _smallest_irreducible(p, f)
+                # the first in monic_polys order: constant term least significant
+                modulus = next(irreducible_polys(prime, f)).coeff_indices()
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != f + 1 or modulus[-1] != 1:
                 raise InvalidFieldSpec("modulus must be monic of degree f")
-            if not _fp_irreducible(list(modulus), p):
+            if not is_irreducible(Poly.from_indices(prime, modulus)):
                 raise InvalidFieldSpec("modulus is not irreducible over F_p")
         self.p = p
         self.f = f
@@ -242,9 +184,6 @@ class FieldSpec:
         """Embed an integer via F_p."""
         return n % self.p
 
-    def elements(self):
-        return range(self.q)
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -269,27 +208,22 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
+    def _modulus_poly(self) -> Poly:
+        """The modulus over F_p, in the variable t of Poly."""
+        return Poly.from_indices(FieldSpec(self.p), self.modulus)
+
     def _build_tables(self):
-        p, f, q = self.p, self.f, self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self.coords(a)
-            for b in range(a, q):
-                cb = self.coords(b)
-                prod = _fp_mul(list(ca), list(cb), p)
-                if f > 1:
-                    prod = _fp_mod(prod, list(self.modulus), p)
-                v = self.from_coords(prod + [0] * f)
-                mul[a][b] = v
-                mul[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
+        p = self.p
+        if self.f == 1:
+            mul = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            mod = self._modulus_poly()
+            elems = [Poly.from_indices(mod.spec, self.coords(a))
+                     for a in range(self.q)]
+            mul = [[self.from_coords((x * y % mod).coeff_indices())
+                    for y in elems] for x in elems]
         self._mul_table = mul
-        self._inv_table = inv
+        self._inv_table = [0] + [row.index(1) for row in mul[1:]]
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is None:
@@ -303,28 +237,11 @@ class FieldSpec:
             self._build_tables()
         return self._inv_table[a]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
     def x_power_coords(self, j: int) -> tuple[int, ...]:
         """Coordinates of x^j reduced mod the modulus, for 0 <= j <= 2f-2."""
         if self._xpow is None:
-            xp = []
-            cur = [1]
-            for _ in range(2 * self.f - 1):
-                xp.append(tuple(cur + [0] * (self.f - len(cur))))
-                cur = [0] + cur
-                if self.f > 1:
-                    cur = _fp_mod(cur, list(self.modulus), self.p) or [0]
-                else:
-                    cur = _fp_mod(cur, [0, 1], self.p) or [0]
-            self._xpow = xp
+            mod = self._modulus_poly()
+            t = Poly.t(mod.spec)
+            powers = [(t ** i % mod).coeff_indices() for i in range(2 * self.f - 1)]
+            self._xpow = [self.coords(self.from_coords(c)) for c in powers]
         return self._xpow[j]

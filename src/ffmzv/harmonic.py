@@ -21,7 +21,8 @@ from functools import cached_property, partial
 
 from .errors import DoublingLawViolated, InvalidFamilyInput
 from .fields import FieldSpec
-from .relations import (doubling_identity_terms, signed_perm_identity_terms,
+from .relations import (check_doubling_shape, check_perm_shape,
+                        doubling_identity_terms, signed_perm_identity_terms,
                         sum_of_products)
 from .zeta import chain_sum
 
@@ -235,10 +236,7 @@ def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False,
 def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
     """Residual of the signed-permutation product identity; zero for every
     instance."""
-    if len(set(s)) != len(s):
-        raise InvalidFamilyInput("entries must be distinct")
-    if len(s) % 2 == 0:
-        raise InvalidFamilyInput("depth must be odd")
+    check_perm_shape(s)
     residual = sum_of_products(inst.ring, signed_perm_identity_terms(tuple(s)),
                                partial(mht_sum, inst, memo={}))
     return residual, residual == inst.ring.zero()
@@ -250,15 +248,7 @@ def check_thmD(inst: MHTInstance, pairs):
     ring = inst.ring
     if ring.char != 2:
         raise InvalidFamilyInput("identity requires characteristic 2")
-    seen = []
-    for s, k in pairs:
-        if k < 1:
-            raise InvalidFamilyInput("multiplicities must be >= 1")
-        seen.append(s)
-        if k > 1:
-            seen.append(2 * s)
-    if len(set(seen)) != len(seen):
-        raise InvalidFamilyInput("entries and doubled entries must be distinct")
+    check_doubling_shape(pairs)
     for s, k in pairs:
         if k > 1:
             for d in inst.index_set:

@@ -37,11 +37,14 @@ p >= 131, are reduced with ``np.frombuffer(...) % p``.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DivisionByZero, InvalidFieldSpec, ParseError
-from .fields import FieldSpec
+
+if TYPE_CHECKING:
+    from .fields import FieldSpec
 
 _irred_cache: dict["Poly", bool] = {}
 _UINT = {s: np.dtype(f"<u{s}") for s in (1, 2, 4, 8)}  # little-endian slots

@@ -220,13 +220,32 @@ def is_q_even(s: int, spec: FieldSpec) -> bool:
     return s % (spec.q - 1) == 0 if spec.q > 2 else True
 
 
-def _check_perm_input(s: Composition, spec: FieldSpec):
-    entries = s.entries
+def check_perm_shape(entries: tuple[int, ...]):
+    """The permutation families' shape: distinct entries, odd depth."""
     if len(set(entries)) != len(entries):
         raise InvalidFamilyInput("entries must be distinct")
     if len(entries) % 2 == 0:
         raise InvalidFamilyInput("depth must be odd")
-    for e in entries:
+
+
+def check_doubling_shape(pairs):
+    """The doubling families' shape: multiplicities k >= 1, and the entries
+    together with the doubled entries (those at k > 1) distinct."""
+    seen = []
+    for s, k in pairs:
+        if k < 1:
+            raise InvalidFamilyInput("multiplicities must be >= 1")
+        seen.append(s)
+        if k > 1:
+            seen.append(2 * s)
+    if len(set(seen)) != len(seen):
+        raise InvalidFamilyInput(
+            "entries (and doubled entries at multiplicity > 1) must be distinct")
+
+
+def _check_perm_input(s: Composition, spec: FieldSpec):
+    check_perm_shape(s.entries)
+    for e in s.entries:
         if not is_q_even(e, spec):
             raise InvalidFamilyInput(f"entry {e} is not q-even for q={spec.q}")
 
@@ -234,20 +253,12 @@ def _check_perm_input(s: Composition, spec: FieldSpec):
 def _check_doubling_input(cfg: Thm3Config, spec: FieldSpec):
     if spec.p != 2:
         raise InvalidFamilyInput("doubling families require characteristic 2")
-    seen = []
+    check_doubling_shape(cfg.pairs)
     for s, k in cfg.pairs:
-        if k < 1:
-            raise InvalidFamilyInput("multiplicities must be >= 1")
         if not is_q_even(s, spec):
             raise InvalidFamilyInput(f"entry {s} is not q-even for q={spec.q}")
-        seen.append(s)
-        if k > 1:
-            if not is_q_even(2 * s, spec):
-                raise InvalidFamilyInput(f"doubled entry {2*s} is not q-even")
-            seen.append(2 * s)
-    if len(set(seen)) != len(seen):
-        raise InvalidFamilyInput(
-            "entries (and doubled entries at multiplicity > 1) must be distinct")
+        if k > 1 and not is_q_even(2 * s, spec):
+            raise InvalidFamilyInput(f"doubled entry {2*s} is not q-even")
 
 
 def gen_thm2(s: Composition, spec: FieldSpec) -> FormalRelation:

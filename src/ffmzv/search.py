@@ -55,7 +55,6 @@ class SearchScope:
 class ValueVector:
     tuple: Composition
     coords: tuple[int, ...]  # F_q indices on the basis {t^i mod v^N}
-    stabilized: bool
 
 
 def enumerate_tuples(scope: SearchScope) -> list[Composition]:
@@ -89,7 +88,7 @@ def _value_vector(s: Composition, scope: SearchScope,
     report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec, memo)
     m = scope.N * scope.v.degree()
     coords = tuple(report.value.rep.coeff_index(i) for i in range(m))
-    return ValueVector(tuple=s, coords=coords, stabilized=report.stabilized)
+    return ValueVector(tuple=s, coords=coords)
 
 
 def value_matrix(tuples: list[Composition],

@@ -118,6 +118,17 @@ def test_exit_code_2_on_usage_errors(capsys):
                  "--evaluator", "finite", "--v", "t^2+t+1", "--D", "3"]) == 2
     assert main(["compute", "--tuple", "(1,2)", "--v", "t^2+t+1", "--D",
                  "3"]) == 2
+    # flags the evaluator would ignore are refused and named
+    capsys.readouterr()
+    assert main(["verify", "--family", "thm2", "--tuple", "(1,2,4)",
+                 "--evaluator", "finite", "--v", "t", "--N", "9"]) == 2
+    assert "--N" in capsys.readouterr().err
+    assert main(["verify", "--family", "thmB", "--pairs", "(1:2),(3:2)",
+                 "--evaluator", "trunc", "--D", "3", "--v", "t^2+t+1",
+                 "--N", "9"]) == 2
+    assert main(["verify", "--family", "thmB", "--pairs", "(1:2),(3:2)",
+                 "--evaluator", "trunc", "--D", "3", "--v", "t^2+t+1"]) == 2
+    assert "--v" in capsys.readouterr().err
     assert main(["nonsense"]) == 2
     for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1"):
         assert main(["harmonic", "--ring", ring, "--checks", "1"]) == 2, ring

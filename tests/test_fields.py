@@ -8,6 +8,9 @@ F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
 F4 = FieldSpec.parse("q=4")
 F9 = FieldSpec.parse("q=9")
+EXTENSIONS = [FieldSpec.parse(f"q={q}") for q in (4, 8, 9, 16, 25, 27)] + [
+    FieldSpec.parse("q=9;modulus=x^2+x+2"),
+    FieldSpec.parse("q=8;modulus=x^3+x^2+1")]
 
 
 def test_parse_and_spec_string_round_trip():
@@ -15,6 +18,37 @@ def test_parse_and_spec_string_round_trip():
         spec = FieldSpec.parse(text)
         again = FieldSpec.parse(spec.spec_string())
         assert again == spec
+
+
+def test_default_moduli():
+    # the first monic irreducible, constant term least significant
+    expected = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
+                16: (1, 1, 0, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1)}
+    for q, modulus in expected.items():
+        assert FieldSpec.parse(f"q={q}").modulus == modulus, q
+
+
+def _generator_powers(spec, n):
+    """[1, x, x^2, ...] in F_q by repeated spec.mul; x has index p."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(spec.mul(out[-1], spec.p))
+    return out
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS, ids=repr)
+def test_generator_is_a_root_of_the_modulus(spec):
+    value = 0
+    for c, power in zip(spec.modulus, _generator_powers(spec, spec.f + 1)):
+        value = spec.add(value, spec.mul(spec.from_int(c), power))
+    assert value == 0
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS, ids=repr)
+def test_x_power_coords_are_generator_powers(spec):
+    powers = _generator_powers(spec, 2 * spec.f - 1)
+    for j, power in enumerate(powers):
+        assert spec.x_power_coords(j) == spec.coords(power), j
 
 
 def test_explicit_modulus():
@@ -45,8 +79,10 @@ def test_zero_not_invertible():
         F2.inv(0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F3, F4, F9]), st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F2, F3, F4, F9] + [FieldSpec.parse(f"q={q}")
+                                           for q in (8, 16, 25, 27, 131)]),
+       st.data())
 def test_field_axioms(spec, data):
     a = data.draw(st.integers(0, spec.q - 1))
     b = data.draw(st.integers(0, spec.q - 1))
@@ -66,13 +102,3 @@ def test_field_axioms(spec, data):
 def test_coords_round_trip(spec, a):
     a %= spec.q
     assert spec.from_coords(spec.coords(a)) == a
-
-
-def test_pow_matches_repeated_mul():
-    for spec in (F3, F4):
-        for a in range(1, spec.q):
-            acc = 1
-            for e in range(1, 6):
-                acc = spec.mul(acc, a)
-                assert spec.pow(a, e) == acc
-            assert spec.pow(a, -1) == spec.inv(a)

@@ -137,6 +137,14 @@ def test_thmD_rejects_odd_characteristic():
         random_instance(0, ZModRing(9), (3, 2), doubling=True)
 
 
+def test_thmD_input_validation():
+    inst = random_instance(0, ZModRing(2), (3, 2), doubling=True)
+    s = inst.base[0]
+    for pairs in (((s, 0),), ((s, 1), (s, 1)), ((s, 2), (2 * s, 1))):
+        with pytest.raises(InvalidFamilyInput):
+            check_thmD(inst, pairs)
+
+
 def test_thmC_input_validation():
     inst = random_instance(1, ZModRing(7), (3, 3))
     a, b, c = inst.magma
