@@ -220,8 +220,12 @@ class FieldSpec:
             mod = self._modulus_poly()
             elems = [Poly.from_indices(mod.spec, self.coords(a))
                      for a in range(self.q)]
-            mul = [[self.from_coords((x * y % mod).coeff_indices())
-                    for y in elems] for x in elems]
+            # the table is symmetric: compute b >= a and mirror it
+            mul = [[0] * self.q for _ in range(self.q)]
+            for a, x in enumerate(elems):
+                for b in range(a, self.q):
+                    mul[a][b] = mul[b][a] = self.from_coords(
+                        (x * elems[b] % mod).coeff_indices())
         self._mul_table = mul
         self._inv_table = [0] + [row.index(1) for row in mul[1:]]
 

@@ -5,10 +5,13 @@ families.
 An MHT instance is a table h: D x S -> R over a finite strictly ordered
 index set D; the sum H(s_1,...,s_r) runs over strictly decreasing chains in
 D.  A zeta value is the instance h(d, s) = S_d(s), and both run through the
-same chain-sum DP (``zeta.chain_sum``).  The identity checkers reuse the
-term builders and the term evaluator of the formal relations, so passing
-them over random rings exercises the combinatorics independently of any
-zeta arithmetic.
+same chain-sum DP (``zeta.chain_sum``).  The identity checkers evaluate the
+generator form of the relation families, sum of coeff * H(head) * (the sum
+of H over the orderings of a multiset), whose expansion is the term list of
+the formal relations: depth-1 heads through ``mht_sum``, and each orderings
+sum by one DP over sub-multisets (``zeta.orderings_sum``), never ordering by
+ordering.  Passing them over random rings exercises the combinatorics
+independently of any zeta arithmetic.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import DoublingLawViolated, InvalidFamilyInput
 from .fields import FieldSpec
 from .relations import (check_doubling_shape, check_perm_shape,
-                        doubling_identity_terms, signed_perm_identity_terms,
-                        sum_of_products)
-from .zeta import chain_sum
+                        doubling_identity_generators,
+                        signed_perm_identity_generators)
+from .zeta import chain_sum, orderings_sum
 
 
 class Ring:
@@ -226,19 +229,47 @@ def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False,
     """Sum over (weakly, when star) decreasing chains in the index set of
     the product of table values; memo as in ``zeta._top_terms``, for one
     (instance, star)."""
+    _check_magma(inst, s)
+    return chain_sum(s, len(inst.index_set), star, inst.ring,
+                     inst.rows.__getitem__, memo)
+
+
+def mht_orderings_sum(inst: MHTInstance, multiset: tuple[int, ...],
+                      star: bool = False, signed: bool = False,
+                      memo: dict | None = None):
+    """Sum of ``mht_sum`` over the distinct orderings of a nonempty multiset
+    (signed as in ``zeta.orderings_sum``); memo as in ``mht_sum``, and may be
+    the same dict."""
+    _check_magma(inst, multiset)
+    return orderings_sum(multiset, star, inst.ring, inst.rows.__getitem__,
+                         signed, memo)
+
+
+def _check_magma(inst: MHTInstance, s):
     for e in s:
         if e not in inst.magma:
             raise ValueError(f"exponent {e} outside the instance magma")
-    return chain_sum(s, len(inst.index_set), star, inst.ring,
-                     inst.rows.__getitem__, memo)
+
+
+def _generator_sum(inst: MHTInstance, generators):
+    """Sum of coeff * H(head) * (orderings sum of the multiset) over
+    ``relations`` generators, with one memo for the whole sum."""
+    ring, memo = inst.ring, {}
+    acc = ring.zero()
+    for coeff, head, multiset, signed in generators:
+        prod = mht_sum(inst, head, memo=memo) if head else ring.one()
+        if multiset:
+            prod = ring.mul(prod, mht_orderings_sum(inst, multiset, False,
+                                                    signed, memo))
+        acc = ring.add(acc, ring.scale(prod, coeff))
+    return acc
 
 
 def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
     """Residual of the signed-permutation product identity; zero for every
     instance."""
     check_perm_shape(s)
-    residual = sum_of_products(inst.ring, signed_perm_identity_terms(tuple(s)),
-                               partial(mht_sum, inst, memo={}))
+    residual = _generator_sum(inst, signed_perm_identity_generators(tuple(s)))
     return residual, residual == inst.ring.zero()
 
 
@@ -255,8 +286,7 @@ def check_thmD(inst: MHTInstance, pairs):
                 hs = inst.h[(d, s)]
                 if inst.h.get((d, 2 * s)) != ring.mul(hs, hs):
                     raise DoublingLawViolated(f"h({d},{2*s}) != h({d},{s})^2")
-    residual = sum_of_products(ring, doubling_identity_terms(tuple(pairs)),
-                               partial(mht_sum, inst, memo={}))
+    residual = _generator_sum(inst, doubling_identity_generators(tuple(pairs)))
     return residual, residual == ring.zero()
 
 

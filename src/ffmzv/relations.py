@@ -11,8 +11,11 @@ Family tags (also the CLI --family names):
   thmB -- the thm3 sum rewritten likewise (characteristic 2); exact at
           every truncation level.
 
-The term builders are shared with the generic harmonic-sum checker, so the
-same combinatorics is exercised over arbitrary commutative rings.
+Each family is described once, by generators: a coefficient, a depth-1 head
+factor or none, and a multiset summed over its orderings.  The term lists of
+the formal relations are their expansion; the generic harmonic-sum checker
+evaluates the generators themselves, so the same combinatorics is exercised
+over arbitrary commutative rings.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .residue import ResidueRing
 from .zeta import (Composition, _truncated_frac, exact_ring, finite_mzv,
                    vadic_mzv_auto)
 
-# -- generic term builders (integer coefficients, plain tuples) -----------------
+# -- family generators and their terms (integer coefficients, plain tuples) -----
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -56,26 +59,51 @@ def _signed_orders(entries: tuple[int, ...]):
         yield _perm_sign(perm), tuple(entries[i] for i in perm)
 
 
+# A generator (coeff, head, multiset, signed) stands for coeff times the
+# factor head (a tuple, or None) times the sum over the distinct orderings
+# of the multiset; when signed, over all of S_n weighted by the sign of the
+# permutation of the given order (entries distinct).  ``expand`` writes it
+# out as raw terms (coeff, factor-tuples), one per ordering.
+
+
+def expand(generators) -> list[tuple[int, tuple]]:
+    """Raw terms of generators, one per ordering of each multiset."""
+    terms = []
+    for coeff, head, multiset, signed in generators:
+        head = (head,) if head else ()
+        if not multiset:
+            terms.append((coeff, head))
+        elif signed:
+            terms.extend((coeff * sign, head + (order,))
+                         for sign, order in _signed_orders(multiset))
+        else:
+            terms.extend((coeff, head + (order,))
+                         for order in _reorders(multiset))
+    return terms
+
+
+def signed_perm_generators(entries: tuple[int, ...]) -> list[tuple]:
+    """Alternating permutation sum."""
+    return [(1, None, tuple(entries), True)]
+
+
+def signed_perm_identity_generators(entries: tuple[int, ...]) -> list[tuple]:
+    """Permutation sum minus its product expansion; sums to zero at every
+    truncation level."""
+    n = len(entries)
+    return signed_perm_generators(entries) + [
+        (-1 * (-1) ** (n - 1 - j), (entries[j],), entries[:j] + entries[j + 1:],
+         True) for j in range(n)]
+
+
 def signed_perm_terms(entries: tuple[int, ...]) -> list[tuple[int, tuple]]:
     """Alternating permutation sum: [(sgn, (ordered tuple,))]."""
-    return [(sign, (order,)) for sign, order in _signed_orders(entries)]
+    return expand(signed_perm_generators(entries))
 
 
 def signed_perm_identity_terms(entries: tuple[int, ...]) -> list[tuple[int, tuple]]:
-    """Permutation sum minus its product expansion; sums to zero at every
-    truncation level.  Terms are (coeff, factor-tuples)."""
-    n = len(entries)
-    terms = list(signed_perm_terms(entries))
-    for j in range(n):
-        head = (entries[j],)
-        rest = entries[:j] + entries[j + 1:]
-        outer = -1 * (-1) ** (n - 1 - j)
-        if not rest:
-            terms.append((outer, (head,)))
-            continue
-        for sign, order in _signed_orders(rest):
-            terms.append((outer * sign, (head, order)))
-    return terms
+    """``signed_perm_identity_generators`` expanded."""
+    return expand(signed_perm_identity_generators(entries))
 
 
 def _reorders(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -113,50 +141,45 @@ def _doubling_base(pairs) -> tuple[tuple[int, ...], int]:
     return s0, phi
 
 
-def doubling_terms(pairs) -> list[tuple[int, tuple]]:
+def doubling_generators(pairs) -> list[tuple]:
     """Doubling-family sum: for each (s,k) with k > 1 the re-orders of the
     base multiset with two copies of s fused into 2s, plus phi times the
     re-orders of the base multiset itself."""
     s0, phi = _doubling_base(pairs)
-    terms = []
-    for s, k in pairs:
-        if k > 1:
-            fused = _remove(s0, s, 2) + (2 * s,)
-            terms.extend((1, (order,)) for order in _reorders(fused))
-    terms.extend((phi, (order,)) for order in _reorders(s0))
-    return terms
+    return [(1, None, _remove(s0, s, 2) + (2 * s,), False)
+            for s, k in pairs if k > 1] + [(phi, None, s0, False)]
 
 
-def doubling_identity_terms(pairs) -> list[tuple[int, tuple]]:
+def doubling_identity_generators(pairs) -> list[tuple]:
     """Doubling-family sum minus its product expansion (characteristic-2
     identity; signs written as -1 and reduced by the caller)."""
     s0, phi = _doubling_base(pairs)
-    terms = list(doubling_terms(pairs))
-
-    def product_terms(head_entry, tail_multiset, coeff):
-        head = (head_entry,)
-        if not tail_multiset:
-            terms.append((-coeff, (head,)))
-            return
-        for order in _reorders(tail_multiset):
-            terms.append((-coeff, (head, order)))
-
+    gens = doubling_generators(pairs)
     for j, (sj, kj) in enumerate(pairs):
         # Every j contributes cross products against the other fused tuples;
         # restricting j here breaks cancellation whenever another
         # multiplicity equals 2 (coefficients sit in characteristic 2, so
         # the even-multiplicity terms cost nothing when they do cancel).
         for i, (si, ki) in enumerate(pairs):
-            if i == j or ki <= 1:
-                continue
-            fused = _remove(s0, si, 2) + (2 * si,)
-            product_terms(sj, _remove(fused, sj), 1)
+            if i != j and ki > 1:
+                fused = _remove(s0, si, 2) + (2 * si,)
+                gens.append((-1, (sj,), _remove(fused, sj), False))
         if kj > 2:
-            product_terms(sj, _remove(s0, sj, 3) + (2 * sj,), 1)
+            gens.append((-1, (sj,), _remove(s0, sj, 3) + (2 * sj,), False))
         if kj > 1:
-            product_terms(2 * sj, _remove(s0, sj, 2), 1)
-        product_terms(sj, _remove(s0, sj), phi)
-    return terms
+            gens.append((-1, (2 * sj,), _remove(s0, sj, 2), False))
+        gens.append((-phi, (sj,), _remove(s0, sj), False))
+    return gens
+
+
+def doubling_terms(pairs) -> list[tuple[int, tuple]]:
+    """``doubling_generators`` expanded."""
+    return expand(doubling_generators(pairs))
+
+
+def doubling_identity_terms(pairs) -> list[tuple[int, tuple]]:
+    """``doubling_identity_generators`` expanded."""
+    return expand(doubling_identity_generators(pairs))
 
 
 # -- formal relations ------------------------------------------------------------

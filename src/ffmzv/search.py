@@ -168,6 +168,21 @@ def _relation_vector(rel: FormalRelation, index: dict[tuple, int],
     return vec
 
 
+def _rank_with_units(spec: FieldSpec, vectors: list[list[int]]) -> int:
+    """``stack_rank`` of vectors most of which are unit vectors (single-term
+    relations): each distinct unit column adds one to the rank, and only
+    the other vectors, with those columns zeroed, are row reduced."""
+    units, others = set(), []
+    for vec in vectors:
+        if len(vec) - vec.count(0) == 1:
+            units.add(next(j for j, c in enumerate(vec) if c))
+        else:
+            others.append(vec)
+    return len(units) + stack_rank(
+        spec, [[0 if j in units else c for j, c in enumerate(vec)]
+               for vec in others])
+
+
 def compare_with_universal(found: list[FormalRelation],
                            scope: SearchScope) -> dict:
     """Report comparing the found nullspace with the universal span.
@@ -190,7 +205,7 @@ def compare_with_universal(found: list[FormalRelation],
     uni_vecs = [_relation_vector(r, index, spec, cols) for r in universal]
 
     dim_found = len(found)
-    dim_universal = stack_rank(spec, uni_vecs)
+    dim_universal = _rank_with_units(spec, uni_vecs)
     containment = spans(spec, found_vecs, uni_vecs)
 
     return {

@@ -5,7 +5,9 @@ Every flavor is a multiple harmonic type sum with table h(d, s) = S_d(s) in
 a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
 the others (a finite value is the v-adic partial sum at N = 1 and
 D = deg v).  One dynamic program over the top index (``_top_terms``) serves
-every carrier and the generic rings of ``harmonic.mht_sum``.
+every carrier and the generic rings of ``harmonic.mht_sum``.  Its step
+(``_step``) has a second walker, ``orderings_sum``, which sums a chain sum
+over all orderings of a multiset at once, keyed by sub-multisets.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _top_terms(entries, D, star, ring, row, memo=None):
     """
     if memo is None:
         memo = {}
-    entries, mul = tuple(entries), ring.mul
+    entries = tuple(entries)
     start = next((i for i in range(len(entries)) if entries[i:] in memo),
                  None)
     if start is None:
@@ -114,10 +116,50 @@ def _top_terms(entries, D, star, ring, row, memo=None):
         memo[entries[start:]] = row(entries[start])
     tail = memo[entries[start:]]
     for i in range(start - 1, -1, -1):
-        sums = list(accumulate(tail, ring.add, initial=ring.zero()))
-        tail = memo[entries[i:]] = list(map(mul, row(entries[i]),
-                                            sums[1:] if star else sums))
+        tail = memo[entries[i:]] = _step(tail, row(entries[i]), star, ring)
     return tail
+
+
+def _step(tail, top_row, star, ring):
+    """The one chain-sum step: T[d] = top_row[d] times the sum of tail[d']
+    over d' < d (d' <= d when star)."""
+    sums = list(accumulate(tail, ring.add, initial=ring.zero()))
+    return list(map(ring.mul, top_row, sums[1:] if star else sums))
+
+
+def _orderings_top_terms(entries, star, ring, row, signed, memo):
+    """T[d] summed over the distinct orderings of the multiset ``entries``;
+    when ``signed``, over all of S_n weighted by the sign of the permutation
+    (the entries are then distinct, and ring must give neg).
+
+    The orderings with value e on top are e followed by the orderings of the
+    rest, so T_M[d] = sum over the distinct values e of M of
+    eps(e) * h(d, e) * P[d], with P the prefix sum of T_{M minus e} as in
+    ``_step``.  eps(e) = 1, or, when signed, (-1)^(number of remaining
+    entries before e in the given order).  ``memo`` may be shared with
+    ``_top_terms``: its keys here are ("orderings", signed, sub-multiset),
+    the sub-multiset sorted, or in the given order when signed, so they
+    never meet the ordered-suffix keys there.
+    """
+    entries = tuple(entries) if signed else tuple(sorted(entries))
+    key = ("orderings", signed, entries)
+    top = memo.get(key)
+    if top is not None:
+        return top
+    if len(entries) == 1:
+        top = row(entries[0])
+    else:
+        for i, e in enumerate(entries):
+            if not signed and i and entries[i - 1] == e:
+                continue  # one pick per distinct value
+            rest = entries[:i] + entries[i + 1:]
+            pick = _step(_orderings_top_terms(rest, star, ring, row, signed,
+                                              memo), row(e), star, ring)
+            if signed and i % 2:
+                pick = list(map(ring.neg, pick))
+            top = pick if top is None else list(map(ring.add, top, pick))
+    memo[key] = top
+    return top
 
 
 def chain_sum(entries, D, star, ring, row, memo=None):
@@ -126,6 +168,16 @@ def chain_sum(entries, D, star, ring, row, memo=None):
     ``_top_terms``."""
     return reduce(ring.add, _top_terms(entries, D, star, ring, row, memo),
                   ring.zero())
+
+
+def orderings_sum(entries, star, ring, row, signed=False, memo=None):
+    """Sum of ``chain_sum`` over the distinct orderings of the nonempty
+    multiset ``entries`` (signed as in ``_orderings_top_terms``), by one DP
+    over its sub-multisets rather than one chain sum per ordering; row and
+    memo as in ``_top_terms``."""
+    top = _orderings_top_terms(entries, star, ring, row, signed,
+                               {} if memo is None else memo)
+    return reduce(ring.add, top, ring.zero())
 
 
 _trunc_cache: dict[tuple, LFrac] = {}

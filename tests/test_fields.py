@@ -51,6 +51,32 @@ def test_x_power_coords_are_generator_powers(spec):
         assert spec.x_power_coords(j) == spec.coords(power), j
 
 
+def reference_mul(spec, a, b):
+    """Schoolbook product of the coordinate polynomials, reduced by the
+    monic modulus from the top degree down."""
+    p, f, mod = spec.p, spec.f, spec.modulus
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(spec.coords(a)):
+        for j, y in enumerate(spec.coords(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * f - 2, f - 1, -1):
+        c = prod[k]
+        for i, m in enumerate(mod):
+            prod[k - f + i] = (prod[k - f + i] - c * m) % p
+    return spec.from_coords(prod[:f])
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS, ids=repr)
+def test_every_table_product_is_the_reduced_polynomial_product(spec):
+    """Both halves of the mirrored multiplication table, and the inverse
+    table read off it."""
+    for a in range(spec.q):
+        for b in range(spec.q):
+            assert spec.mul(a, b) == reference_mul(spec, a, b), (a, b)
+        if a:
+            assert reference_mul(spec, a, spec.inv(a)) == 1, a
+
+
 def test_explicit_modulus():
     spec = FieldSpec.parse("q=9;modulus=x^2+1")
     assert spec.q == 9 and spec.p == 3 and spec.f == 2

@@ -1,16 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import (Composition, FieldSpec, SearchScope, Vadic,
                    compare_with_universal, enumerate_tuples, evaluate_relation,
                    find_relations, is_q_even, parse_poly, stack_rank,
                    value_matrix)
 from ffmzv.errors import InvalidScope
-from ffmzv.search import _relation_vector
+from ffmzv.search import _rank_with_units, _relation_vector
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
+F4 = FieldSpec.parse("q=4")
 T2 = parse_poly("t", F2)
 T3 = parse_poly("t", F3)
 
@@ -124,3 +126,29 @@ def test_dim_found_is_the_rank_of_the_found_relations(w, d, N, dim):
     vecs = [_relation_vector(r, index, F2, len(tuples)) for r in found]
     assert compare_with_universal(found, scope)["dim_found"] == \
         stack_rank(F2, vecs) == dim
+
+
+@st.composite
+def mostly_unit_vectors(draw):
+    """Unit vectors on random columns (repeats and rescalings included),
+    mixed with dense and zero vectors, over F_2, F_3 or F_4."""
+    spec = draw(st.sampled_from([F2, F3, F4]))
+    cols = draw(st.integers(1, 12))
+    entry = st.integers(0, spec.q - 1)
+    vectors = []
+    for _ in range(draw(st.integers(0, 16))):
+        if draw(st.booleans()):
+            vec = [0] * cols
+            vec[draw(st.integers(0, cols - 1))] = draw(st.integers(1,
+                                                                   spec.q - 1))
+        else:
+            vec = draw(st.lists(entry, min_size=cols, max_size=cols))
+        vectors.append(vec)
+    return spec, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(mostly_unit_vectors())
+def test_rank_with_units_matches_stack_rank(case):
+    spec, vectors = case
+    assert _rank_with_units(spec, vectors) == stack_rank(spec, vectors)
