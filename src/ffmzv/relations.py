@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 from .errors import InvalidEvaluator, InvalidFamilyInput
@@ -344,16 +345,18 @@ def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
 def sum_of_products(ring, terms, value):
     """Sum of coeff * prod value(factor) over (coeff, factors) terms, in a
     ring with the zero/one/add/mul/scale protocol; value is called once per
-    distinct factor."""
+    distinct factor, and an empty product is one."""
     values = {}
+
+    def cached(factor):
+        x = values.get(factor)
+        if x is None:
+            x = values[factor] = value(factor)
+        return x
+
     acc = ring.zero()
     for coeff, factors in terms:
-        prod = ring.one()
-        for factor in factors:
-            x = values.get(factor)
-            if x is None:
-                x = values[factor] = value(factor)
-            prod = ring.mul(prod, x)
+        prod = reduce(ring.mul, map(cached, factors)) if factors else ring.one()
         acc = ring.add(acc, ring.scale(prod, coeff))
     return acc
 
@@ -373,7 +376,8 @@ class TruncatedExact:
         return exact_ring(spec)
 
     def value(self, s: Composition, spec: FieldSpec, memo=None):
-        return _truncated_frac(self.D, s, self.star, spec, memo)
+        # the truncated tables persist across D: a relation memo adds nothing
+        return _truncated_frac(self.D, s, self.star, spec)
 
     def verdict(self, acc):
         value = acc.to_ratfn()
@@ -452,8 +456,8 @@ def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
     spec = rel.spec
     # the factors are orderings of the same entries and share suffixes; one
-    # memo of suffix DP tables per relation, since one evaluator fixes D,
-    # star and the carrier
+    # memo of suffix DP tables per relation serves the fixed-D carriers,
+    # since one evaluator fixes D, star and the ring
     memo = {}
     acc = sum_of_products(evaluator.ring(spec), rel.terms,
                           lambda factor: _factor_value(factor, evaluator, spec,

@@ -4,10 +4,16 @@
 Every flavor is a multiple harmonic type sum with table h(d, s) = S_d(s) in
 a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
 the others (a finite value is the v-adic partial sum at N = 1 and
-D = deg v).  One dynamic program over the top index (``_top_terms``) serves
-every carrier and the generic rings of ``harmonic.mht_sum``.  Its step
-(``_step``) has a second walker, ``orderings_sum``, which sums a chain sum
-over all orderings of a multiset at once, keyed by sub-multisets.
+D = deg v).  One step (``_step``) of one dynamic program over the top index
+serves every carrier and the generic rings of ``harmonic.mht_sum``.  Three
+walkers drive it:
+  ``_top_terms`` -- the suffixes of a tuple at one D, with a memo of suffix
+      top-term lists that a caller at fixed D creates, shares and drops;
+  ``orderings_sum`` -- the sum over all orderings of a multiset at once,
+      keyed by sub-multisets;
+  ``_truncated_frac`` -- truncated values, from one table per (spec, star,
+      suffix) of prefix sums of the top terms, kept for the process and
+      grown with D, so the value at D is read off.
 """
 
 from __future__ import annotations
@@ -116,15 +122,25 @@ def _top_terms(entries, D, star, ring, row, memo=None):
         memo[entries[start:]] = row(entries[start])
     tail = memo[entries[start:]]
     for i in range(start - 1, -1, -1):
-        tail = memo[entries[i:]] = _step(tail, row(entries[i]), star, ring)
+        tail = memo[entries[i:]] = _step(_prefix_sums(tail, ring),
+                                         row(entries[i]), star, ring)
     return tail
 
 
-def _step(tail, top_row, star, ring):
-    """The one chain-sum step: T[d] = top_row[d] times the sum of tail[d']
-    over d' < d (d' <= d when star)."""
-    sums = list(accumulate(tail, ring.add, initial=ring.zero()))
-    return list(map(ring.mul, top_row, sums[1:] if star else sums))
+def _prefix_sums(terms, ring, initial=None):
+    """[P[0], P[1], ...] with P[0] = initial (default zero) and
+    P[d+1] = P[d] + terms[d]."""
+    return list(accumulate(terms, ring.add,
+                           initial=ring.zero() if initial is None else initial))
+
+
+def _step(sums, top_row, star, ring, start=0):
+    """The one chain-sum step: T[d] = top_row[d - start] times the sum of
+    tail[d'] over d' < d (d' <= d when star), for d = start, start + 1, ...
+    as far as top_row goes; ``sums`` are the tail's prefix sums P, with
+    P[d] = sum of tail[d'] over d' < d, through P[d + 1] when star."""
+    return list(map(ring.mul, top_row, sums[start + 1:] if star
+                    else sums[start:]))
 
 
 def _orderings_top_terms(entries, star, ring, row, signed, memo):
@@ -153,8 +169,8 @@ def _orderings_top_terms(entries, star, ring, row, signed, memo):
             if not signed and i and entries[i - 1] == e:
                 continue  # one pick per distinct value
             rest = entries[:i] + entries[i + 1:]
-            pick = _step(_orderings_top_terms(rest, star, ring, row, signed,
-                                              memo), row(e), star, ring)
+            pick = _step(_prefix_sums(_orderings_top_terms(
+                rest, star, ring, row, signed, memo), ring), row(e), star, ring)
             if signed and i % 2:
                 pick = list(map(ring.neg, pick))
             top = pick if top is None else list(map(ring.add, top, pick))
@@ -180,20 +196,39 @@ def orderings_sum(entries, star, ring, row, signed=False, memo=None):
     return reduce(ring.add, top, ring.zero())
 
 
-_trunc_cache: dict[tuple, LFrac] = {}
+# (spec, star, suffix) -> prefix sums P[0..L] of the suffix's top terms
+_trunc_cache: dict[tuple, list[LFrac]] = {}
 
 
-def _truncated_frac(D: int, s: Composition, star: bool, spec: FieldSpec,
-                    memo: dict | None = None) -> LFrac:
-    """The truncated value as an LFrac; memo as in ``_top_terms``, for one
-    (D, star, spec)."""
-    key = (spec, D, s.entries, star)
-    hit = _trunc_cache.get(key)
-    if hit is None:
-        hit = _trunc_cache[key] = chain_sum(
-            s.entries, D, star, exact_ring(spec),
-            lambda k: [_exact_frac(spec, d, k) for d in range(D)], memo)
-    return hit
+def _truncated_frac(D: int, s: Composition, star: bool,
+                    spec: FieldSpec) -> LFrac:
+    """The truncated value as an LFrac: P[D] of the table of s.entries.
+
+    The top terms do not depend on D, so each suffix keeps one table for
+    the process and a larger D only lengthens it.  A suffix's new cells
+    need only its tail's prefix sums, so the walk inwards stops at the
+    first table that reaches D; the tables outside it grow outwards, each
+    by its new cells d = L..D-1 alone."""
+    ring = exact_ring(spec)
+    entries = s.entries
+    # (top entry, key, table) of each suffix whose table does not reach D,
+    # outermost first
+    short = []
+    tail = None  # the prefix sums of the suffix inside them, if any
+    for i in range(len(entries)):
+        key = (spec, star, entries[i:])
+        sums = _trunc_cache.get(key, [ring.zero()])
+        if len(sums) > D:
+            tail = sums
+            break
+        short.append((entries[i], key, sums))
+    for k, key, sums in reversed(short):
+        L = len(sums) - 1
+        row = [_exact_frac(spec, d, k) for d in range(L, D)]
+        top = row if tail is None else _step(tail, row, star, ring, L)
+        # stored as a new list: a table another caller is reading stays valid
+        tail = _trunc_cache[key] = sums + _prefix_sums(top, ring, sums[-1])[1:]
+    return tail[D]
 
 
 def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> RationalFn:

@@ -1,9 +1,12 @@
 """The suffix memo of the chain-sum DP: with one memo shared across the
 orderings of a multiset, every top-term list must equal the one a fresh,
-memo-less DP builds, in every carrier the DP serves."""
+memo-less DP builds, in every carrier the DP serves.  Likewise the
+truncated values read off the growing per-suffix tables, at any D in any
+order."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +15,12 @@ from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    evaluate_relation, parse_poly, relations, zeta)
 from ffmzv.power_sums import _exact_frac, _residue_sum
 from ffmzv.relations import sum_of_products
-from ffmzv.zeta import _top_terms, chain_sum, exact_bound, exact_ring
+from ffmzv.zeta import (_top_terms, _truncated_frac, chain_sum, exact_bound,
+                        exact_ring)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
+F4 = FieldSpec.parse("q=4")
 V2 = parse_poly("t^2+t+1", F2)
 T3 = parse_poly("t", F3)
 
@@ -119,3 +124,37 @@ def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
         for star in (True, False):
             value, _ = evaluate_relation(rel, make(star))
             assert value == expected[star], (make(star), star)
+
+
+@st.composite
+def compositions_and_levels(draw):
+    """Compositions sharing a tail, and a sequence of (composition, D) asks
+    whose D run ascending, descending or as drawn, with repeats."""
+    entry = st.integers(-2, 3)
+    tail = tuple(draw(st.lists(entry, min_size=1, max_size=2)))
+    heads = draw(st.lists(entry, min_size=1, max_size=2))
+    comps = [tail] + [(h,) + tail for h in heads]
+    levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    order = draw(st.sampled_from(["ascending", "descending", "drawn"]))
+    if order != "drawn":
+        levels.sort(reverse=order == "descending")
+    levels.append(levels[0])
+    return [(draw(st.sampled_from(comps)), D) for D in levels]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3, F4]), st.booleans(), compositions_and_levels())
+def test_growing_tables_match_a_fresh_dp_at_every_D(spec, star, asks):
+    ring = exact_ring(spec)
+    seen = []
+    with mock.patch.object(zeta, "_trunc_cache", {}):
+        for entries, D in asks:
+            value = _truncated_frac(D, Composition(entries), star, spec)
+            fresh = chain_sum(entries, D, star, ring, lambda k: [
+                _exact_frac(spec, d, k) for d in range(D)])
+            assert value.to_ratfn() == fresh.to_ratfn(), (entries, D)
+            seen.append((entries, D, value, value.to_ratfn()))
+        # the tables only ever grow: every earlier answer is still there
+        for entries, D, value, frac in seen:
+            again = _truncated_frac(D, Composition(entries), star, spec)
+            assert again is value and again.to_ratfn() == frac, (entries, D)

@@ -1,5 +1,7 @@
 import time
+from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
-                   ResidueRing, is_trivial_zero, parse_poly)
+                   RationalRing, ResidueRing, is_trivial_zero, parse_poly)
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput
-from ffmzv.relations import _reorders
+from ffmzv.relations import _reorders, sum_of_products
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -161,3 +163,34 @@ def test_reorders_walk_only_distinct_orderings():
     assert time.perf_counter() - start < 0.5
     assert orders == [(1,) * i + (2,) + (1,) * (12 - i)
                       for i in range(12, -1, -1)]
+
+
+class _CountingRing(RationalRing):
+    muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return a * b
+
+
+_FACTOR_VALUES = {(1,): Fraction(2), (2,): Fraction(-1, 3),
+                  (1, 2): Fraction(5, 7), (3, 1): Fraction(0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3),
+                          st.lists(st.sampled_from(sorted(_FACTOR_VALUES)),
+                                   max_size=4).map(tuple)), max_size=6))
+def test_sum_of_products_multiplies_factors_only(terms):
+    ring = _CountingRing()
+    got = sum_of_products(ring, terms, _FACTOR_VALUES.__getitem__)
+    assert ring.muls == sum(len(fs) - 1 for _, fs in terms if fs)
+    assert got == sum(c * prod(_FACTOR_VALUES[f] for f in fs)
+                      for c, fs in terms)
+
+
+def test_sum_of_products_empty_factor_tuple_adds_coeff_times_one():
+    ring = _CountingRing()
+    assert sum_of_products(ring, [(3, ()), (-1, ((2,),))],
+                           _FACTOR_VALUES.__getitem__) == 3 + Fraction(1, 3)
+    assert ring.muls == 0
