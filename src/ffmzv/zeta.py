@@ -5,15 +5,11 @@ Every flavor is a multiple harmonic type sum with table h(d, s) = S_d(s) in
 a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
 the others (a finite value is the v-adic partial sum at N = 1 and
 D = deg v).  One step (``_step``) of one dynamic program over the top index
-serves every carrier and the generic rings of ``harmonic.mht_sum``.  Three
-walkers drive it:
-  ``_top_terms`` -- the suffixes of a tuple at one D, with a memo of suffix
-      top-term lists that a caller at fixed D creates, shares and drops;
-  ``orderings_sum`` -- the sum over all orderings of a multiset at once,
-      keyed by sub-multisets;
-  ``_truncated_frac`` -- truncated values, from one table per (spec, star,
-      suffix) of prefix sums of the top terms, kept for the process and
-      grown with D, so the value at D is read off.
+serves every carrier and the generic rings of ``harmonic.mht_sum``.
+``_top_terms`` walks it over a tuple's suffixes at one D, with a memo that
+a fixed-D caller creates, shares and drops; ``orderings_sum`` over the
+sub-multisets of a multiset; ``_truncated_frac`` over tables of prefix sums
+of each suffix's top terms that persist for the process and grow with D.
 """
 
 from __future__ import annotations
@@ -122,16 +118,9 @@ def _top_terms(entries, D, star, ring, row, memo=None):
         memo[entries[start:]] = row(entries[start])
     tail = memo[entries[start:]]
     for i in range(start - 1, -1, -1):
-        tail = memo[entries[i:]] = _step(_prefix_sums(tail, ring),
-                                         row(entries[i]), star, ring)
+        sums = list(accumulate(tail, ring.add, initial=ring.zero()))
+        tail = memo[entries[i:]] = _step(sums, row(entries[i]), star, ring)
     return tail
-
-
-def _prefix_sums(terms, ring, initial=None):
-    """[P[0], P[1], ...] with P[0] = initial (default zero) and
-    P[d+1] = P[d] + terms[d]."""
-    return list(accumulate(terms, ring.add,
-                           initial=ring.zero() if initial is None else initial))
 
 
 def _step(sums, top_row, star, ring, start=0):
@@ -140,7 +129,7 @@ def _step(sums, top_row, star, ring, start=0):
     as far as top_row goes; ``sums`` are the tail's prefix sums P, with
     P[d] = sum of tail[d'] over d' < d, through P[d + 1] when star."""
     return list(map(ring.mul, top_row, sums[start + 1:] if star
-                    else sums[start:]))
+                    else sums[start:] if start else sums))
 
 
 def _orderings_top_terms(entries, star, ring, row, signed, memo):
@@ -169,8 +158,9 @@ def _orderings_top_terms(entries, star, ring, row, signed, memo):
             if not signed and i and entries[i - 1] == e:
                 continue  # one pick per distinct value
             rest = entries[:i] + entries[i + 1:]
-            pick = _step(_prefix_sums(_orderings_top_terms(
-                rest, star, ring, row, signed, memo), ring), row(e), star, ring)
+            sub = _orderings_top_terms(rest, star, ring, row, signed, memo)
+            sums = list(accumulate(sub, ring.add, initial=ring.zero()))
+            pick = _step(sums, row(e), star, ring)
             if signed and i % 2:
                 pick = list(map(ring.neg, pick))
             top = pick if top is None else list(map(ring.add, top, pick))
@@ -227,7 +217,8 @@ def _truncated_frac(D: int, s: Composition, star: bool,
         row = [_exact_frac(spec, d, k) for d in range(L, D)]
         top = row if tail is None else _step(tail, row, star, ring, L)
         # stored as a new list: a table another caller is reading stays valid
-        tail = _trunc_cache[key] = sums + _prefix_sums(top, ring, sums[-1])[1:]
+        tail = _trunc_cache[key] = sums + list(
+            accumulate(top, ring.add, initial=sums[-1]))[1:]
     return tail[D]
 
 
