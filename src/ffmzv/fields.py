@@ -103,6 +103,7 @@ class FieldSpec:
         self.f = f
         self.q = p ** f
         self.modulus = modulus
+        self._hash = hash((p, f, modulus))
         self._mul_table: list[list[int]] | None = None
         self._inv_table: list[int] | None = None
         self._xpow: list[tuple[int, ...]] | None = None
@@ -114,7 +115,7 @@ class FieldSpec:
                 and (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.f, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})" if self.f == 1 else \

@@ -1,4 +1,4 @@
-"""Dense linear algebra over F_q: row reduction, rank, and kernel bases."""
+"""F_q linear algebra: dense row reduction and rank, sparse kernel bases."""
 
 from __future__ import annotations
 
@@ -69,26 +69,22 @@ class FqMatrix:
         return len(self.rref()[1])
 
 
-def nullspace(M: FqMatrix) -> list[list[int]]:
-    """Basis of {x : M x = 0}, read off the reduced echelon form.
-
-    One basis vector per free column, in ascending free-column order; the
-    result is deterministic and has length cols - rank.
+def nullspace(M: FqMatrix) -> list[list[tuple[int, int]]]:
+    """Basis of {x : M x = 0}, read off the reduced echelon form: one vector
+    per free column, in ascending free-column order, each the list of its
+    nonzero (column, coefficient) pairs in ascending column order, ending
+    in (free, 1).  The result is deterministic and has length cols - rank.
     """
     fq = M.spec
     rows, pivots = M.rref()
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * M.cols
-        vec[free] = 1
-        for r, pc in enumerate(pivots):
-            # x_pc = -rows[r][free]
-            vec[pc] = fq.neg(rows[r][free])
-        basis.append(vec)
-    return basis
+    basis = {f: [] for f in range(M.cols) if f not in pivots}
+    # x_pc = -rows[r][f]; row r is zero left of its pivot pc, so each free
+    # column gets its pairs in ascending pivot order, all before (f, 1)
+    for pc, row in zip(pivots, rows):
+        for f, a in enumerate(row):
+            if a and f in basis:
+                basis[f].append((pc, fq.neg(a)))
+    return [vec + [(f, 1)] for f, vec in basis.items()]
 
 
 def stack_rank(spec: FieldSpec, vectors: list[list[int]]) -> int:
@@ -98,24 +94,26 @@ def stack_rank(spec: FieldSpec, vectors: list[list[int]]) -> int:
     return FqMatrix(spec, vectors).rank()
 
 
-def spans(spec: FieldSpec, basis: list[list[int]],
+def spans(spec: FieldSpec, basis: list[list[tuple[int, int]]],
           vectors: list[list[int]]) -> bool:
-    """Whether every vector lies in the span of ``basis``, whose rows must
-    have their last nonzero entries in distinct columns, as a ``nullspace``
-    basis does (each row ends at its free column).  Each vector is reduced
-    against the rows from its last column down; the basis is never reduced.
+    """Whether every dense vector lies in the span of ``basis``, whose rows
+    are (column, coefficient) pairs in ascending column order, as
+    ``nullspace`` gives them, and must end in distinct columns (else
+    ``ValueError``).  Each vector is reduced against the rows from its last
+    column down; the basis is never reduced.
     """
     rows = {}
     for vec in basis:
-        row = Poly.from_indices(spec, vec).monic()
-        if row.degree() in rows:
+        last, lead = vec[-1]
+        if last in rows:
             raise ValueError("basis rows must end in distinct columns")
-        rows[row.degree()] = row
+        rows[last] = [(c, spec.mul(spec.inv(lead), a)) for c, a in vec[:-1]]
     for vec in vectors:
-        x = Poly.from_indices(spec, vec)
-        while not x.is_zero():
-            row = rows.get(x.degree())
-            if row is None:
-                return False
-            x = x - row.scale(x.lead_index())
+        x = list(vec)
+        for j in reversed(range(len(x))):
+            if f := x[j]:
+                if j not in rows:
+                    return False
+                for c, a in rows[j]:
+                    x[c] = spec.sub(x[c], spec.mul(f, a))
     return True

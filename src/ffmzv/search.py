@@ -109,12 +109,10 @@ def find_relations(scope: SearchScope) -> list[FormalRelation]:
     basis vector (coefficients are F_q element indices)."""
     tuples = enumerate_tuples(scope)
     matrix, _ = value_matrix(tuples, scope)
-    basis = nullspace(matrix)
-    out = []
-    for vec in basis:
-        terms = tuple((c, (s.entries,)) for c, s in zip(vec, tuples) if c)
-        out.append(FormalRelation(terms=terms, tag="custom", spec=scope.spec))
-    return out
+    return [FormalRelation(terms=tuple((c, (tuples[j].entries,))
+                                       for j, c in vec),
+                           tag="custom", spec=scope.spec)
+            for vec in nullspace(matrix)]
 
 
 def _universal_relations(scope: SearchScope,
@@ -188,25 +186,25 @@ def compare_with_universal(found: list[FormalRelation],
     """Report comparing the found nullspace with the universal span.
 
     ``found`` is a nullspace basis, as ``find_relations`` returns it, so its
-    dimension is its length and containment reduces the universal vectors
-    against it without reducing it again.  Every column is the exact value
-    mod v^N, taken at the bound D = N*deg(v)+1, so containment of the
-    universal span in the found span is theorem-backed and
-    ``unstabilized_columns`` is always empty; the residual counts found
+    dimension is its length, and containment reduces the dense universal
+    vectors by ``spans`` against its relations' (column, coefficient) pairs
+    in column order, each ending in its own free column.  Every column is
+    the exact value mod v^N, taken at the bound D = N*deg(v)+1, so
+    containment of the universal span in the found span is theorem-backed
+    and ``unstabilized_columns`` is always empty; the residual counts found
     directions beyond it.
     """
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
     spec = scope.spec
-    cols = len(tuples)
-
-    found_vecs = [_relation_vector(r, index, spec, cols) for r in found]
     universal = _universal_relations(scope, tuples)
-    uni_vecs = [_relation_vector(r, index, spec, cols) for r in universal]
+    uni_vecs = [_relation_vector(r, index, spec, len(tuples))
+                for r in universal]
 
     dim_found = len(found)
     dim_universal = _rank_with_units(spec, uni_vecs)
-    containment = spans(spec, found_vecs, uni_vecs)
+    containment = spans(spec, [[(index[fs[0]], c) for c, fs in r.terms]
+                               for r in found], uni_vecs)
 
     return {
         "scope": scope.describe(),

@@ -36,6 +36,14 @@ def reference_rref(fq, entries, cols):
     return m[:r], pivots
 
 
+def dense(vec, cols):
+    """A basis vector's (column, coefficient) pairs as a list of length cols."""
+    out = [0] * cols
+    for c, a in vec:
+        out[c] = a
+    return out
+
+
 def reference_nullspace(spec, rows, pivots, cols):
     basis = []
     for free in range(cols):
@@ -81,15 +89,20 @@ def matrices(draw):
     return spec, entries, cols
 
 
+def dense_nullspace(m):
+    return [dense(vec, m.cols) for vec in nullspace(m)]
+
+
 def test_nullspace_pinned_examples():
-    assert nullspace(FqMatrix(F2, [[1, 1], [0, 0]])) == [[1, 1]]
-    assert nullspace(FqMatrix(F3, [[1, 2], [2, 1]])) == [[1, 1]]
+    assert dense_nullspace(FqMatrix(F2, [[1, 1], [0, 0]])) == [[1, 1]]
+    assert dense_nullspace(FqMatrix(F3, [[1, 2], [2, 1]])) == [[1, 1]]
 
 
 def test_nullspace_identity_and_zero():
-    assert nullspace(FqMatrix(F2, [[1, 0], [0, 1]])) == []
-    assert nullspace(FqMatrix(F2, [[0, 0], [0, 0]])) == [[1, 0], [0, 1]]
-    assert nullspace(FqMatrix(F2, [], cols=3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert dense_nullspace(FqMatrix(F2, [[1, 0], [0, 1]])) == []
+    assert dense_nullspace(FqMatrix(F2, [[0, 0], [0, 0]])) == [[1, 0], [0, 1]]
+    assert dense_nullspace(FqMatrix(F2, [], cols=3)) == \
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_rank():
@@ -107,12 +120,24 @@ def test_nullspace_vectors_are_in_kernel(spec, rows, cols, data):
     entries = [[data.draw(st.integers(0, spec.q - 1)) for _ in range(cols)]
                for _ in range(rows)]
     m = FqMatrix(spec, entries)
-    basis = nullspace(m)
+    pairs = nullspace(m)
+    basis = [dense(vec, cols) for vec in pairs]
     assert len(basis) == cols - m.rank()
     for vec in basis:
         assert m.mat_vec(vec) == [0] * rows
     # basis vectors are independent
     assert stack_rank(spec, basis) == len(basis)
+    # sparse form: ascending nonzero pairs ending in (free, 1), one vector
+    # per non-pivot column
+    frees = []
+    for vec in pairs:
+        columns = [c for c, _ in vec]
+        assert columns == sorted(set(columns))
+        assert all(a != 0 for _, a in vec)
+        free, lead = vec[-1]
+        assert lead == 1
+        frees.append(free)
+    assert frees == [c for c in range(cols) if c not in m.rref()[1]]
 
 
 def test_mat_vec():
@@ -129,7 +154,7 @@ def test_packed_elimination_matches_per_entry_reference(case):
     assert m.rref() == (rows, pivots)
     assert m.rank() == len(pivots)
     assert stack_rank(spec, entries) == len(pivots)
-    assert nullspace(m) == reference_nullspace(spec, rows, pivots, cols)
+    assert dense_nullspace(m) == reference_nullspace(spec, rows, pivots, cols)
 
 
 def test_packed_elimination_on_zero_and_unnormalised_matrices():
@@ -153,18 +178,21 @@ def test_spans_matches_the_rank_of_the_stack(case, seed):
     # and random combinations of the basis; up to 65 columns, so the rank
     # of the stacked reference stays cheap
     spec, entries, cols = case
-    basis = nullspace(FqMatrix(spec, entries, cols=cols))
+    pairs = nullspace(FqMatrix(spec, entries, cols=cols))
+    basis = [dense(vec, cols) for vec in pairs]
     rng = random.Random(seed)
     vectors = [[spec.add(spec.mul(rng.randrange(spec.q), x), y)
                 for x, y in zip(a, b)]
                for a, b in zip(basis, basis[1:] + basis[:1])]
     for vecs in [vectors, entries, entries[:1], []]:
-        assert spans(spec, basis, vecs) == \
+        assert spans(spec, pairs, vecs) == \
             (stack_rank(spec, basis + vecs) == len(basis))
 
 
 def test_spans_needs_rows_ending_in_distinct_columns():
-    assert spans(F3, [[1, 2, 0], [0, 0, 2]], [[2, 1, 1]])
-    assert not spans(F3, [[1, 2, 0], [0, 0, 2]], [[0, 1, 0]])
+    # the rows [1, 2, 0] and [0, 0, 2]; a last coefficient other than 1
+    assert spans(F3, [[(0, 1), (1, 2)], [(2, 2)]], [[2, 1, 1]])
+    assert not spans(F3, [[(0, 1), (1, 2)], [(2, 2)]], [[0, 1, 0]])
+    # the rows [1, 1] and [0, 1] both end in column 1
     with pytest.raises(ValueError):
-        spans(F2, [[1, 1], [0, 1]], [[1, 0]])
+        spans(F2, [[(0, 1), (1, 1)], [(1, 1)]], [[1, 0]])

@@ -8,7 +8,8 @@ from ffmzv import (Composition, FieldSpec, SearchScope, Vadic,
                    find_relations, is_q_even, parse_poly, stack_rank,
                    value_matrix)
 from ffmzv.errors import InvalidScope
-from ffmzv.search import _rank_with_units, _relation_vector
+from ffmzv.search import (_rank_with_units, _relation_vector,
+                          _universal_relations)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -126,6 +127,28 @@ def test_dim_found_is_the_rank_of_the_found_relations(w, d, N, dim):
     vecs = [_relation_vector(r, index, F2, len(tuples)) for r in found]
     assert compare_with_universal(found, scope)["dim_found"] == \
         stack_rank(F2, vecs) == dim
+
+
+@pytest.mark.parametrize("spec,v,w,d,N", [(F2, T2, 4, 3, 2),
+                                           (F3, T3, 6, 3, 2)])
+def test_containment_fails_when_a_found_relation_is_dropped(spec, v, w, d, N):
+    """With one found relation left out, containment is whether the
+    universal vectors still lie in the span of the rest."""
+    scope = SearchScope(spec, v, weight_max=w, depth_max=d, N=N)
+    found = find_relations(scope)
+    tuples = enumerate_tuples(scope)
+    index = {s.entries: j for j, s in enumerate(tuples)}
+    vecs = [_relation_vector(r, index, spec, len(tuples)) for r in found]
+    universal = [_relation_vector(r, index, spec, len(tuples))
+                 for r in _universal_relations(scope, tuples)]
+    verdicts = set()
+    for i in range(len(found)):
+        kept = vecs[:i] + vecs[i + 1:]
+        contained = stack_rank(spec, kept + universal) == len(kept)
+        report = compare_with_universal(found[:i] + found[i + 1:], scope)
+        assert report["containment"] is contained, found[i].terms
+        verdicts.add(contained)
+    assert verdicts == {True, False}
 
 
 @st.composite
