@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import FFMzvError, ParseError
 from .fields import FieldSpec, is_prime
@@ -26,20 +25,6 @@ from .relations import (Finite, Thm3Config, TruncatedExact, Vadic,
 from .search import SearchScope, compare_with_universal, find_relations
 from .zeta import (TruncationConfig, exact_bound, parse_composition,
                    truncated_mzv, vadic_mzv, vadic_mzv_auto, finite_mzv)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-
-    @property
-    def format(self) -> str:
-        return self.args.format
-
-    @property
-    def out(self) -> str | None:
-        return self.args.out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,10 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return RunConfig(command=args.command, args=args)
+def parse_args(argv) -> argparse.Namespace:
+    return _build_parser().parse_args(argv)
 
 
 def _field_spec(args) -> FieldSpec:
@@ -307,21 +290,21 @@ def _csv_rows(result: dict) -> list[list[str]]:
                    for k in keys]]
 
 
-def emit_report(result: dict, cfg: RunConfig) -> int:
+def emit_report(result: dict, args: argparse.Namespace) -> int:
     """Write the report in the requested format; return the exit code."""
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         text = "\n".join(",".join(f'"{c}"' if "," in c else c for c in row)
                          for row in _csv_rows(result)) + "\n"
     else:
         text = "".join(f"{k}: {result[k]}\n" for k in sorted(result))
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"cannot write {cfg.out}: {exc}", file=sys.stderr)
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return 3
     else:
         sys.stdout.write(text)
@@ -330,25 +313,24 @@ def emit_report(result: dict, cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(argv if argv is not None else sys.argv[1:])
+        args = parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    args = cfg.args
     try:
-        if cfg.command == "compute":
+        if args.command == "compute":
             result = _run_compute(args, _field_spec(args))
-        elif cfg.command == "verify":
+        elif args.command == "verify":
             result = _run_verify(args, _field_spec(args))
-        elif cfg.command == "search":
+        elif args.command == "search":
             result = _run_search(args, _field_spec(args))
-        elif cfg.command == "harmonic":
+        elif args.command == "harmonic":
             result = _run_harmonic(args)
         else:
             result = _run_primes(args, _field_spec(args))
     except (FFMzvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit_report(result, cfg)
+    return emit_report(result, args)
 
 
 if __name__ == "__main__":

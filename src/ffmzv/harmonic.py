@@ -20,7 +20,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DoublingLawViolated, InvalidFamilyInput
 from .fields import FieldSpec
@@ -206,11 +205,9 @@ class MHTInstance:
                 if (d, s) not in self.h:
                     raise ValueError(f"h undefined at ({d}, {s})")
 
-    @cached_property
-    def rows(self) -> dict:
-        """s -> [h(d, s) for d in index_set]; h must not change after use."""
-        return {s: [self.h[(d, s)] for d in self.index_set]
-                for s in self.magma}
+    def cell(self, i: int, s: int):
+        """h at the i-th index and exponent s: the DP's table."""
+        return self.h[self.index_set[i], s]
 
     def to_json(self, seed=None) -> str:
         table = {f"{d},{s}": self.ring.to_str(self.h[(d, s)])
@@ -227,11 +224,11 @@ class MHTInstance:
 def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False,
             memo: dict | None = None):
     """Sum over (weakly, when star) decreasing chains in the index set of
-    the product of table values; memo as in ``zeta._top_terms``, for one
-    (instance, star)."""
+    the product of table values; memo as in ``zeta.chain_sum``, for one
+    instance."""
     _check_magma(inst, s)
-    return chain_sum(s, len(inst.index_set), star, inst.ring,
-                     inst.rows.__getitem__, memo)
+    return chain_sum(s, len(inst.index_set), star, inst.ring, inst.cell,
+                     memo)
 
 
 def mht_orderings_sum(inst: MHTInstance, multiset: tuple[int, ...],
@@ -241,8 +238,8 @@ def mht_orderings_sum(inst: MHTInstance, multiset: tuple[int, ...],
     (signed as in ``zeta.orderings_sum``); memo as in ``mht_sum``, and may be
     the same dict."""
     _check_magma(inst, multiset)
-    return orderings_sum(multiset, star, inst.ring, inst.rows.__getitem__,
-                         signed, memo)
+    return orderings_sum(multiset, len(inst.index_set), star, inst.ring,
+                         inst.cell, signed, memo)
 
 
 def _check_magma(inst: MHTInstance, s):

@@ -42,28 +42,26 @@ class FqMatrix:
         """Reduced row echelon form; returns (rows, pivot column list).
 
         Each row is held as a packed Poly whose t^c coefficient is column c,
-        so a row operation is one Poly subtraction of a scaled row.
+        so a row operation is one Poly subtraction of a scaled row, and the
+        next pivot is the first remaining row of least leading column.
         """
         fq = self.spec
         m = [Poly.from_indices(fq, row) for row in self.entries]
         pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, len(m)) if m[i].coeff_index(c)),
-                         None)
-            if pivot is None:
-                continue
+        for r in range(len(m)):
+            leads = [(x.low_degree(), i) for i, x in enumerate(m[r:], r)
+                     if not x.is_zero()]
+            if not leads:
+                break
+            c, pivot = min(leads)
             m[r], m[pivot] = m[pivot], m[r]
             m[r] = row = m[r].scale(fq.inv(m[r].coeff_index(c)))
             for i in range(len(m)):
                 if i != r and (f := m[i].coeff_index(c)):
                     m[i] = m[i] - row.scale(f)
             pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
         return [x.coeff_indices() + [0] * (self.cols - 1 - x.degree())
-                for x in m[:r]], pivots
+                for x in m[:len(pivots)]], pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

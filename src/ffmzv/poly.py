@@ -207,6 +207,14 @@ class Poly:
         """Degree, with -1 standing in for deg(0) = -infinity."""
         return len(self.data) // self._lay.size - 1
 
+    def low_degree(self) -> int:
+        """Least i with a nonzero t^i coefficient; -1 for the zero
+        polynomial."""
+        if not self.data:
+            return -1
+        return (len(self.data) - len(self.data.lstrip(b"\0"))) \
+            // self._lay.size
+
     def is_zero(self) -> bool:
         return not self.data
 
@@ -216,6 +224,8 @@ class Poly:
         return self._lay.coeff(self.data, i)
 
     def coeff_indices(self) -> list[int]:
+        if self._lay.size == 1:  # each byte is its coefficient's index
+            return list(self.data)
         return [self._lay.coeff(self.data, i) for i in range(self.degree() + 1)]
 
     def lead_index(self) -> int:

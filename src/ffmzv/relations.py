@@ -97,16 +97,6 @@ def signed_perm_identity_generators(entries: tuple[int, ...]) -> list[tuple]:
          True) for j in range(n)]
 
 
-def signed_perm_terms(entries: tuple[int, ...]) -> list[tuple[int, tuple]]:
-    """Alternating permutation sum: [(sgn, (ordered tuple,))]."""
-    return expand(signed_perm_generators(entries))
-
-
-def signed_perm_identity_terms(entries: tuple[int, ...]) -> list[tuple[int, tuple]]:
-    """``signed_perm_identity_generators`` expanded."""
-    return expand(signed_perm_identity_generators(entries))
-
-
 def _reorders(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Distinct orderings of a multiset, in lexicographic order: a
     next-permutation walk from the sorted multiset visits each distinct
@@ -173,16 +163,6 @@ def doubling_identity_generators(pairs) -> list[tuple]:
     return gens
 
 
-def doubling_terms(pairs) -> list[tuple[int, tuple]]:
-    """``doubling_generators`` expanded."""
-    return expand(doubling_generators(pairs))
-
-
-def doubling_identity_terms(pairs) -> list[tuple[int, tuple]]:
-    """``doubling_identity_generators`` expanded."""
-    return expand(doubling_identity_generators(pairs))
-
-
 # -- formal relations ------------------------------------------------------------
 
 
@@ -235,10 +215,6 @@ class Thm3Config:
     """Multiplicity pairs for the doubling families: ((s_1, k_1), ...)."""
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def phi(self) -> int:
-        return sum(k for _, k in self.pairs)
-
 
 def is_q_even(s: int, spec: FieldSpec) -> bool:
     return s % (spec.q - 1) == 0 if spec.q > 2 else True
@@ -289,26 +265,30 @@ def gen_thm2(s: Composition, spec: FieldSpec) -> FormalRelation:
     """Alternating permutation relation on a distinct q-even tuple of odd
     depth; n! single-factor terms."""
     _check_perm_input(s, spec)
-    return FormalRelation.build(signed_perm_terms(s.entries), "thm2", spec)
+    return FormalRelation.build(expand(signed_perm_generators(s.entries)),
+                                "thm2", spec)
 
 
 def gen_thm3(cfg: Thm3Config, spec: FieldSpec) -> FormalRelation:
     """Characteristic-2 doubling relation from multiplicity pairs."""
     _check_doubling_input(cfg, spec)
-    return FormalRelation.build(doubling_terms(cfg.pairs), "thm3", spec)
+    return FormalRelation.build(expand(doubling_generators(cfg.pairs)),
+                                "thm3", spec)
 
 
 def gen_thmA(s: Composition, spec: FieldSpec) -> FormalRelation:
     """Permutation-sum product identity, valid at every truncation level."""
     _check_perm_input(s, spec)
-    return FormalRelation.build(signed_perm_identity_terms(s.entries), "thmA", spec)
+    return FormalRelation.build(
+        expand(signed_perm_identity_generators(s.entries)), "thmA", spec)
 
 
 def gen_thmB(cfg: Thm3Config, spec: FieldSpec) -> FormalRelation:
     """Doubling product identity (characteristic 2), valid at every
     truncation level."""
     _check_doubling_input(cfg, spec)
-    return FormalRelation.build(doubling_identity_terms(cfg.pairs), "thmB", spec)
+    return FormalRelation.build(
+        expand(doubling_identity_generators(cfg.pairs)), "thmB", spec)
 
 
 def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
@@ -375,8 +355,7 @@ class TruncatedExact:
     def ring(self, spec: FieldSpec):
         return exact_ring(spec)
 
-    def value(self, s: Composition, spec: FieldSpec, memo=None):
-        # the truncated tables persist across D: a relation memo adds nothing
+    def value(self, s: Composition, spec: FieldSpec):
         return _truncated_frac(self.D, s, self.star, spec)
 
     def verdict(self, acc):
@@ -392,8 +371,8 @@ class Finite:
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, 1)
 
-    def value(self, s: Composition, spec: FieldSpec, memo=None):
-        return finite_mzv(self.v, s, self.star, spec, memo)
+    def value(self, s: Composition, spec: FieldSpec):
+        return finite_mzv(self.v, s, self.star, spec)
 
     def verdict(self, acc):
         return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
@@ -411,8 +390,8 @@ class Vadic:
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, self.N)
 
-    def value(self, s: Composition, spec: FieldSpec, memo=None):
-        return vadic_mzv_auto(self.v, s, self.N, self.star, spec, memo).value
+    def value(self, s: Composition, spec: FieldSpec):
+        return vadic_mzv_auto(self.v, s, self.N, self.star, spec).value
 
     def verdict(self, acc):
         # a nonzero residue mod v^N has valuation < N
@@ -439,13 +418,12 @@ class Verdict:
 _residue_factor_cache: dict[tuple, object] = {}  # (spec, evaluator, factor)
 
 
-def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec,
-                  memo: dict):
+def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec):
     key = (spec, evaluator, factor)
     hit = _residue_factor_cache.get(key)
     if hit is None:
         hit = _residue_factor_cache[key] = evaluator.value(Composition(factor),
-                                                           spec, memo)
+                                                           spec)
     return hit
 
 
@@ -455,11 +433,6 @@ def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
     if not isinstance(evaluator, (TruncatedExact, Finite, Vadic)):
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
     spec = rel.spec
-    # the factors are orderings of the same entries and share suffixes; one
-    # memo of suffix DP tables per relation serves the fixed-D carriers,
-    # since one evaluator fixes D, star and the ring
-    memo = {}
     acc = sum_of_products(evaluator.ring(spec), rel.terms,
-                          lambda factor: _factor_value(factor, evaluator, spec,
-                                                       memo))
+                          lambda f: _factor_value(f, evaluator, spec))
     return evaluator.verdict(acc)

@@ -83,9 +83,8 @@ def enumerate_tuples(scope: SearchScope) -> list[Composition]:
             for entries in bounded(depth, scope.weight_max)]
 
 
-def _value_vector(s: Composition, scope: SearchScope,
-                  memo: dict) -> ValueVector:
-    report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec, memo)
+def _value_vector(s: Composition, scope: SearchScope) -> ValueVector:
+    report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec)
     m = scope.N * scope.v.degree()
     coords = tuple(report.value.rep.coeff_index(i) for i in range(m))
     return ValueVector(tuple=s, coords=coords)
@@ -94,11 +93,8 @@ def _value_vector(s: Composition, scope: SearchScope,
 def value_matrix(tuples: list[Composition],
                  scope: SearchScope) -> tuple[FqMatrix, list[ValueVector]]:
     """Matrix whose column j holds the F_q coordinates of tuple j's v-adic
-    value at precision N, exact at the bound D = N*deg(v)+1.
-    The columns share one memo of suffix DP tables: every suffix of an
-    in-scope tuple is in scope, and shallower tuples come first."""
-    memo = {}
-    vectors = [_value_vector(s, scope, memo) for s in tuples]
+    value at precision N, exact at the bound D = N*deg(v)+1."""
+    vectors = [_value_vector(s, scope) for s in tuples]
     m = scope.N * scope.v.degree()
     rows = [[vec.coords[i] for vec in vectors] for i in range(m)]
     return FqMatrix(scope.spec, rows, cols=len(tuples)), vectors
@@ -177,7 +173,7 @@ def _rank_with_units(spec: FieldSpec, vectors: list[list[int]]) -> int:
         else:
             others.append(vec)
     return len(units) + stack_rank(
-        spec, [[0 if j in units else c for j, c in enumerate(vec)]
+        spec, [[0 if c and j in units else c for j, c in enumerate(vec)]
                for vec in others])
 
 

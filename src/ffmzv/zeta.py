@@ -6,17 +6,17 @@ a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
 the others (a finite value is the v-adic partial sum at N = 1 and
 D = deg v).  One step (``_step``) of one dynamic program over the top index
 serves every carrier and the generic rings of ``harmonic.mht_sum``.
-``_top_terms`` walks it over a tuple's suffixes at one D, with a memo that
-a fixed-D caller creates, shares and drops; ``orderings_sum`` over the
-sub-multisets of a multiset; ``_truncated_frac`` over tables of prefix sums
-of each suffix's top terms that persist for the process and grow with D.
+``_top_terms`` walks it over a tuple's suffixes, growing each suffix's
+table of prefix sums with D; the zeta carriers keep those tables in
+``_trunc_cache`` for the process.  ``orderings_sum`` walks it over the
+sub-multisets of a multiset.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -98,28 +98,38 @@ def exact_ring(spec: FieldSpec) -> SimpleNamespace:
                            scale=lambda a, c: a.scale_int(c))
 
 
-def _top_terms(entries, D, star, ring, row, memo=None):
-    """T[d] = sum over chains with top index exactly d of the product of
-    table values, where row(k) lists h(0, k), ..., h(D-1, k); built
-    depth-by-depth from prefix sums of the inner tail.
+def _top_terms(entries, D, star, ring, h, tables, carrier=None):
+    """The prefix sums P[0..L], L >= D, of the top terms of ``entries``:
+    T[d] sums over chains with top index exactly d the product of the
+    table values h(d_i, entries[i]), and P[d] = T[0] + ... + T[d - 1], so
+    P[D] is the chain sum below D.
 
-    T of a suffix entries[i:] depends on that suffix alone.  ``memo`` maps
-    suffixes to their T lists for one (D, star, ring, row): the build starts
-    from the longest suffix found there and stores every new one.  The
-    stored lists are shared, so callers must not mutate what this returns.
+    T of a suffix does not depend on D, so ``tables`` maps (carrier, star,
+    suffix) to one table P per suffix, which a larger D only lengthens.  A
+    suffix's new cells need only its tail's prefix sums, so the walk
+    inwards stops at the first table that reaches D; the tables outside it
+    grow outwards, each by its new cells d = L..D-1 alone.  The stored
+    tables are shared, so callers must not mutate what this returns.
     """
-    if memo is None:
-        memo = {}
     entries = tuple(entries)
-    start = next((i for i in range(len(entries)) if entries[i:] in memo),
-                 None)
-    if start is None:
-        start = len(entries) - 1
-        memo[entries[start:]] = row(entries[start])
-    tail = memo[entries[start:]]
-    for i in range(start - 1, -1, -1):
-        sums = list(accumulate(tail, ring.add, initial=ring.zero()))
-        tail = memo[entries[i:]] = _step(sums, row(entries[i]), star, ring)
+    # (top entry, key, table) of each suffix whose table does not reach D,
+    # outermost first
+    short = []
+    tail = None  # the prefix sums of the suffix inside them, if any
+    for i in range(len(entries)):
+        key = (carrier, star, entries[i:])
+        sums = tables.get(key, [ring.zero()])
+        if len(sums) > D:
+            tail = sums
+            break
+        short.append((entries[i], key, sums))
+    for k, key, sums in reversed(short):
+        L = len(sums) - 1
+        row = [h(d, k) for d in range(L, D)]
+        top = row if tail is None else _step(tail, row, star, ring, L)
+        # stored as a new list: a table another caller is reading stays valid
+        tail = tables[key] = sums + list(
+            accumulate(top, ring.add, initial=sums[-1]))[1:]
     return tail
 
 
@@ -132,94 +142,70 @@ def _step(sums, top_row, star, ring, start=0):
                     else sums[start:] if start else sums))
 
 
-def _orderings_top_terms(entries, star, ring, row, signed, memo):
-    """T[d] summed over the distinct orderings of the multiset ``entries``;
-    when ``signed``, over all of S_n weighted by the sign of the permutation
-    (the entries are then distinct, and ring must give neg).
+def _orderings_top_terms(entries, D, star, ring, h, signed, memo):
+    """The prefix sums P[0..D] of T[d] summed over the distinct orderings of
+    the multiset ``entries``; when ``signed``, over all of S_n weighted by
+    the sign of the permutation (the entries are then distinct, and ring
+    must give neg).
 
     The orderings with value e on top are e followed by the orderings of the
     rest, so T_M[d] = sum over the distinct values e of M of
-    eps(e) * h(d, e) * P[d], with P the prefix sum of T_{M minus e} as in
+    eps(e) * h(d, e) * P[d], with P the prefix sums of T_{M minus e} as in
     ``_step``.  eps(e) = 1, or, when signed, (-1)^(number of remaining
     entries before e in the given order).  ``memo`` may be shared with
-    ``_top_terms``: its keys here are ("orderings", signed, sub-multiset),
-    the sub-multiset sorted, or in the given order when signed, so they
-    never meet the ordered-suffix keys there.
+    ``_top_terms``: its keys here are ("orderings", star, signed,
+    sub-multiset), the sub-multiset sorted, or in the given order when
+    signed, so they never meet the (carrier, star, suffix) keys there.
     """
     entries = tuple(entries) if signed else tuple(sorted(entries))
-    key = ("orderings", signed, entries)
-    top = memo.get(key)
-    if top is not None:
-        return top
+    key = ("orderings", star, signed, entries)
+    sums = memo.get(key)
+    if sums is not None:
+        return sums
+    top = None
     if len(entries) == 1:
-        top = row(entries[0])
+        top = [h(d, entries[0]) for d in range(D)]
     else:
         for i, e in enumerate(entries):
             if not signed and i and entries[i - 1] == e:
                 continue  # one pick per distinct value
             rest = entries[:i] + entries[i + 1:]
-            sub = _orderings_top_terms(rest, star, ring, row, signed, memo)
-            sums = list(accumulate(sub, ring.add, initial=ring.zero()))
-            pick = _step(sums, row(e), star, ring)
+            sub = _orderings_top_terms(rest, D, star, ring, h, signed, memo)
+            pick = _step(sub, [h(d, e) for d in range(D)], star, ring)
             if signed and i % 2:
                 pick = list(map(ring.neg, pick))
             top = pick if top is None else list(map(ring.add, top, pick))
-    memo[key] = top
-    return top
+    sums = memo[key] = list(accumulate(top, ring.add, initial=ring.zero()))
+    return sums
 
 
-def chain_sum(entries, D, star, ring, row, memo=None):
+def chain_sum(entries, D, star, ring, h, memo=None):
     """Sum over chains D > d_1 > ... > d_r >= 0 (weak inequalities when
-    star) of prod h(d_i, entries[i]), with row and memo as in
+    star) of prod h(d_i, entries[i]); ``memo`` holds the tables as in
     ``_top_terms``."""
-    return reduce(ring.add, _top_terms(entries, D, star, ring, row, memo),
-                  ring.zero())
+    return _top_terms(entries, D, star, ring, h,
+                      {} if memo is None else memo)[D]
 
 
-def orderings_sum(entries, star, ring, row, signed=False, memo=None):
+def orderings_sum(entries, D, star, ring, h, signed=False, memo=None):
     """Sum of ``chain_sum`` over the distinct orderings of the nonempty
     multiset ``entries`` (signed as in ``_orderings_top_terms``), by one DP
-    over its sub-multisets rather than one chain sum per ordering; row and
-    memo as in ``_top_terms``."""
-    top = _orderings_top_terms(entries, star, ring, row, signed,
-                               {} if memo is None else memo)
-    return reduce(ring.add, top, ring.zero())
+    over its sub-multisets rather than one chain sum per ordering; memo as
+    in ``chain_sum``."""
+    return _orderings_top_terms(entries, D, star, ring, h, signed,
+                                {} if memo is None else memo)[D]
 
 
-# (spec, star, suffix) -> prefix sums P[0..L] of the suffix's top terms
-_trunc_cache: dict[tuple, list[LFrac]] = {}
+# (carrier, star, suffix) -> the suffix's table in ``_top_terms``; the
+# carrier is the FieldSpec for F_q(t) and the ResidueRing for A/(v^N)
+_trunc_cache: dict[tuple, list] = {}
 
 
 def _truncated_frac(D: int, s: Composition, star: bool,
                     spec: FieldSpec) -> LFrac:
-    """The truncated value as an LFrac: P[D] of the table of s.entries.
-
-    The top terms do not depend on D, so each suffix keeps one table for
-    the process and a larger D only lengthens it.  A suffix's new cells
-    need only its tail's prefix sums, so the walk inwards stops at the
-    first table that reaches D; the tables outside it grow outwards, each
-    by its new cells d = L..D-1 alone."""
-    ring = exact_ring(spec)
-    entries = s.entries
-    # (top entry, key, table) of each suffix whose table does not reach D,
-    # outermost first
-    short = []
-    tail = None  # the prefix sums of the suffix inside them, if any
-    for i in range(len(entries)):
-        key = (spec, star, entries[i:])
-        sums = _trunc_cache.get(key, [ring.zero()])
-        if len(sums) > D:
-            tail = sums
-            break
-        short.append((entries[i], key, sums))
-    for k, key, sums in reversed(short):
-        L = len(sums) - 1
-        row = [_exact_frac(spec, d, k) for d in range(L, D)]
-        top = row if tail is None else _step(tail, row, star, ring, L)
-        # stored as a new list: a table another caller is reading stays valid
-        tail = _trunc_cache[key] = sums + list(
-            accumulate(top, ring.add, initial=sums[-1]))[1:]
-    return tail[D]
+    """The truncated value as an LFrac: P[D] of the table of s.entries."""
+    return _top_terms(s.entries, D, star, exact_ring(spec),
+                      partial(_exact_frac, spec), _trunc_cache, spec)[D]
 
 
 def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> RationalFn:
@@ -230,13 +216,12 @@ def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> Ration
     return _truncated_frac(D, s, star, spec).to_ratfn()
 
 
-def finite_mzv(v: Poly, s: Composition, star: bool, spec: FieldSpec,
-               memo: dict | None = None) -> ResidueElem:
+def finite_mzv(v: Poly, s: Composition, star: bool,
+               spec: FieldSpec) -> ResidueElem:
     """Sum over chains with d_1 < deg v, reduced mod v; element of F_v.  It
     is the v-adic partial sum at N = 1 and D = deg v: no monic of degree
-    below deg v is a multiple of v.  memo as in ``vadic_mzv``."""
-    return vadic_mzv(v, s, TruncationConfig(v.degree(), 1, star), spec,
-                     memo=memo).value
+    below deg v is a multiple of v."""
+    return vadic_mzv(v, s, TruncationConfig(v.degree(), 1, star), spec).value
 
 
 def exact_bound(v: Poly, N: int) -> int:
@@ -248,29 +233,27 @@ def exact_bound(v: Poly, N: int) -> int:
 
 
 def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
-              spec: FieldSpec, memo: dict | None = None) -> StabilizationReport:
+              spec: FieldSpec) -> StabilizationReport:
     """Partial v-adic sum through top degree cfg.D - 1 at precision cfg.N,
     over coprime power sums; stabilized (exact) once cfg.D reaches
-    exact_bound(v, cfg.N).  memo as in ``_top_terms``, for one (v, cfg,
-    spec)."""
+    exact_bound(v, cfg.N)."""
     N = cfg.N
     ring = ResidueRing(v, N)
     # top terms from exact_bound(v, N) on are zero: sum only up to it
     D = min(cfg.D, exact_bound(v, N))
-    top = _top_terms(s.entries, D, cfg.star, ring,
-                     lambda k: [_residue_sum(spec, d, k, v, N)
-                                for d in range(D)], memo)
+    sums = _top_terms(s.entries, D, cfg.star, ring,
+                      lambda d, k: _residue_sum(spec, d, k, v, N),
+                      _trunc_cache, ring)
+    # the least level from which the partial sums stay at P[D]
     stable_from = D
-    while stable_from > 1 and top[stable_from - 1].is_zero():
+    while stable_from > 1 and sums[stable_from - 1] == sums[D]:
         stable_from -= 1
-    return StabilizationReport(value=reduce(ring.add, top, ring.zero()),
-                               stable_from=stable_from,
+    return StabilizationReport(value=sums[D], stable_from=stable_from,
                                stabilized=cfg.D >= exact_bound(v, N), D=cfg.D)
 
 
 def vadic_mzv_auto(v: Poly, s: Composition, N: int, star: bool,
-                   spec: FieldSpec, memo: dict | None = None
-                   ) -> StabilizationReport:
+                   spec: FieldSpec) -> StabilizationReport:
     """vadic_mzv at D = exact_bound(v, N), the least D where it is exact."""
     cfg = TruncationConfig(D=exact_bound(v, N), N=N, star=star)
-    return vadic_mzv(v, s, cfg, spec, memo=memo)
+    return vadic_mzv(v, s, cfg, spec)

@@ -1,22 +1,24 @@
-"""The suffix memo of the chain-sum DP: with one memo shared across the
-orderings of a multiset, every top-term list must equal the one a fresh,
-memo-less DP builds, in every carrier the DP serves.  Likewise the
-truncated values read off the growing per-suffix tables, at any D in any
-order."""
+"""The suffix tables of the chain-sum DP: with one store shared across the
+orderings of a multiset, every table must equal the one a fresh store
+builds, in every carrier the DP serves.  Likewise the truncated and v-adic
+values read off the growing per-suffix tables of the process store, at any
+D in any order, star and strict, at every precision N."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
-                   RationalRing, ResidueRing, TruncatedExact, Vadic, ZModRing,
-                   evaluate_relation, parse_poly, relations, zeta)
+                   RationalRing, ResidueRing, TruncatedExact,
+                   TruncationConfig, Vadic, ZModRing, evaluate_relation,
+                   parse_poly, relations, zeta)
 from ffmzv.power_sums import _exact_frac, _residue_sum
 from ffmzv.relations import sum_of_products
 from ffmzv.zeta import (_top_terms, _truncated_frac, chain_sum, exact_bound,
-                        exact_ring)
+                        exact_ring, vadic_mzv)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -25,14 +27,18 @@ V2 = parse_poly("t^2+t+1", F2)
 T3 = parse_poly("t", F3)
 
 
+def _residue_table(spec, v, N):
+    return lambda d, k: _residue_sum(spec, d, k, v, N)
+
+
 def _table_carrier(ring, draw_value, D, seed):
     rng = random.Random(seed)
     table = {k: [draw_value(rng) for _ in range(D)] for k in range(1, 5)}
-    return ring, D, table.__getitem__
+    return ring, D, lambda d, k: table[k][d]
 
 
 def _carrier(name, seed):
-    """(ring, D, row) for one of the carriers the DP serves."""
+    """(ring, D, h) for one of the carriers the DP serves."""
     if name == "zmod":
         return _table_carrier(ZModRing(12), lambda r: r.randrange(12), 5, seed)
     if name == "rational":
@@ -41,13 +47,9 @@ def _carrier(name, seed):
             lambda r: Fraction(r.randrange(-9, 10), r.randrange(1, 7)), 4, seed)
     if name == "residue":
         spec, v, N = (F2, V2, 2) if seed % 2 else (F3, T3, 3)
-        D = exact_bound(v, N)
-        return (ResidueRing(v, N), D,
-                lambda k: [_residue_sum(spec, d, k, v, N) for d in range(D)])
+        return ResidueRing(v, N), exact_bound(v, N), _residue_table(spec, v, N)
     spec = F2 if seed % 2 else F3
-    D = 3
-    return (exact_ring(spec), D,
-            lambda k: [_exact_frac(spec, d, k) for d in range(D)])
+    return exact_ring(spec), 3, partial(_exact_frac, spec)
 
 
 @st.composite
@@ -68,32 +70,35 @@ def orderings_of_a_multiset(draw):
 @given(st.sampled_from(["zmod", "rational", "residue", "exact"]),
        st.integers(0, 3), st.booleans(), orderings_of_a_multiset())
 def test_shared_memo_matches_a_fresh_dp(carrier, seed, star, factors):
-    ring, D, row = _carrier(carrier, seed)
+    ring, D, h = _carrier(carrier, seed)
     # LFrac has no value equality; compare the normalized fractions
     canon = (lambda x: x.to_ratfn()) if carrier == "exact" else (lambda x: x)
 
-    def top_terms(f, *memo):
-        return [canon(x) for x in _top_terms(f, D, star, ring, row, *memo)]
+    def table(f, tables):
+        return [canon(x) for x in _top_terms(f, D, star, ring, h, tables)]
 
-    memo = {}
+    tables = {}
     for f in factors:
-        assert top_terms(f, memo) == top_terms(f), f
-        assert canon(chain_sum(f, D, star, ring, row, memo)) == \
-            canon(chain_sum(f, D, star, ring, row)), f
+        assert table(f, tables) == table(f, {}), f
+        assert canon(chain_sum(f, D, star, ring, h, tables)) == \
+            canon(chain_sum(f, D, star, ring, h)), f
     # every stored suffix holds its own fresh table: nothing was mutated
-    for suffix, top in memo.items():
-        assert [canon(x) for x in top] == top_terms(suffix), suffix
+    for (_, key_star, suffix), sums in tables.items():
+        assert key_star == star
+        assert [canon(x) for x in sums] == table(suffix, {}), suffix
 
 
 def test_memo_holds_every_suffix_once():
-    ring, D, row = _carrier("zmod", 0)
-    memo = {}
-    _top_terms((1, 2, 3), D, False, ring, row, memo)
-    assert set(memo) == {(3,), (2, 3), (1, 2, 3)}
-    before = dict(memo)
-    _top_terms((4, 2, 3), D, False, ring, row, memo)
-    assert set(memo) == {(3,), (2, 3), (1, 2, 3), (4, 2, 3)}
-    assert all(memo[k] is before[k] for k in before)  # reused, not rebuilt
+    ring, D, h = _carrier("zmod", 0)
+    tables = {}
+    _top_terms((1, 2, 3), D, False, ring, h, tables)
+    assert set(tables) == {(None, False, s)
+                           for s in [(3,), (2, 3), (1, 2, 3)]}
+    before = dict(tables)
+    _top_terms((4, 2, 3), D, False, ring, h, tables)
+    assert set(tables) == {(None, False, s)
+                           for s in [(3,), (2, 3), (1, 2, 3), (4, 2, 3)]}
+    assert all(tables[k] is before[k] for k in before)  # reused, not rebuilt
 
 
 def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
@@ -109,16 +114,16 @@ def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
                                 (1, ((2,), (3, 1, 2)))], "custom", F2)
     assert [f for _, fs in rel.terms for f in fs][:3] == [(1, 2), (2,),
                                                           (3, 1, 2)]
-    for make, ring, D, row in [
+    for make, ring, D, h in [
             (lambda star: TruncatedExact(3, star), exact_ring(F2), 3,
-             lambda k: [_exact_frac(F2, d, k) for d in range(3)]),
+             partial(_exact_frac, F2)),
             (lambda star: Vadic(V2, 2, star=star), ResidueRing(V2, 2), 5,
-             lambda k: [_residue_sum(F2, d, k, V2, 2) for d in range(5)]),
+             _residue_table(F2, V2, 2)),
             (lambda star: Finite(V2, star), ResidueRing(V2, 1), 2,
-             lambda k: [_residue_sum(F2, d, k, V2, 1) for d in range(2)])]:
+             _residue_table(F2, V2, 1))]:
         expected = {star: make(star).verdict(sum_of_products(
             ring, rel.terms,
-            lambda f, star=star: chain_sum(f, D, star, ring, row)))[0]
+            lambda f, star=star: chain_sum(f, D, star, ring, h)))[0]
             for star in (True, False)}
         assert expected[True] != expected[False]
         for star in (True, False):
@@ -127,34 +132,70 @@ def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
 
 
 @st.composite
-def compositions_and_levels(draw):
-    """Compositions sharing a tail, and a sequence of (composition, D) asks
-    whose D run ascending, descending or as drawn, with repeats."""
+def compositions_and_levels(draw, levels):
+    """Compositions sharing a tail, and a sequence of asks (composition,
+    level, star) whose levels run ascending, descending or as drawn, with
+    repeats."""
     entry = st.integers(-2, 3)
     tail = tuple(draw(st.lists(entry, min_size=1, max_size=2)))
     heads = draw(st.lists(entry, min_size=1, max_size=2))
     comps = [tail] + [(h,) + tail for h in heads]
-    levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    asked = draw(st.lists(levels, min_size=1, max_size=6))
     order = draw(st.sampled_from(["ascending", "descending", "drawn"]))
     if order != "drawn":
-        levels.sort(reverse=order == "descending")
-    levels.append(levels[0])
-    return [(draw(st.sampled_from(comps)), D) for D in levels]
+        asked.sort(reverse=order == "descending")
+    asked.append(asked[0])
+    return [(draw(st.sampled_from(comps)), level, draw(st.booleans()))
+            for level in asked]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([F2, F3, F4]), st.booleans(), compositions_and_levels())
-def test_growing_tables_match_a_fresh_dp_at_every_D(spec, star, asks):
-    ring = exact_ring(spec)
+def _fresh(spec, v, entries, D, N, star):
+    """(value, stable_from) from a fresh store; stable_from is the least
+    level from which the partial sums stay at the value (None for F_q(t),
+    whose value is compared normalized)."""
+    if v is None:
+        sums = _top_terms(entries, D, star, exact_ring(spec),
+                          partial(_exact_frac, spec), {})
+        return sums[D].to_ratfn(), None
+    sums = _top_terms(entries, D, star, ResidueRing(v, N),
+                      _residue_table(spec, v, N), {})[:D + 1]
+    stable = D
+    while stable > 1 and sums[stable - 1] == sums[D]:
+        stable -= 1
+    return sums[D], stable
+
+
+def _stored(spec, v, entries, D, N, star):
+    """(value, stable_from) read off the process store, as ``_fresh``."""
+    if v is None:
+        return _truncated_frac(D, Composition(entries), star, spec), None
+    report = vadic_mzv(v, Composition(entries), TruncationConfig(D, N, star),
+                       spec)
+    return report.value, report.stable_from
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(F2, None), (F3, None), (F4, None), (F2, V2),
+                        (F3, T3)]), st.data())
+def test_growing_tables_match_a_fresh_dp_at_every_D(carrier, data):
+    """Truncated values at D = 1..4, and v-adic values at N = 1..3 with D
+    below, at and past exact_bound(v, N), share one store."""
+    spec, v = carrier
+    levels = (st.tuples(st.integers(1, 4), st.none()) if v is None else
+              st.tuples(st.integers(1, exact_bound(v, 3) + 2),
+                        st.integers(1, 3)))
+    asks = data.draw(compositions_and_levels(levels))
     seen = []
     with mock.patch.object(zeta, "_trunc_cache", {}):
-        for entries, D in asks:
-            value = _truncated_frac(D, Composition(entries), star, spec)
-            fresh = chain_sum(entries, D, star, ring, lambda k: [
-                _exact_frac(spec, d, k) for d in range(D)])
-            assert value.to_ratfn() == fresh.to_ratfn(), (entries, D)
-            seen.append((entries, D, value, value.to_ratfn()))
+        for entries, (D, N), star in asks:
+            value, stable = _stored(spec, v, entries, D, N, star)
+            fresh = _fresh(spec, v, entries, D, N, star)
+            canon = value if v else value.to_ratfn()
+            assert (canon, stable) == fresh, (entries, D, N, star)
+            seen.append((entries, D, N, star, value, fresh))
         # the tables only ever grow: every earlier answer is still there
-        for entries, D, value, frac in seen:
-            again = _truncated_frac(D, Composition(entries), star, spec)
-            assert again is value and again.to_ratfn() == frac, (entries, D)
+        for entries, D, N, star, value, fresh in seen:
+            again, stable = _stored(spec, v, entries, D, N, star)
+            canon = again if v else again.to_ratfn()
+            assert again is value and (canon, stable) == fresh, \
+                (entries, D, N, star)

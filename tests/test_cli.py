@@ -15,7 +15,7 @@ def test_parse_args_defaults():
     cfg = parse_args(["compute", "--tuple", "(1,2)", "--D", "3"])
     assert cfg.command == "compute"
     assert cfg.format == "json" and cfg.out is None
-    assert cfg.args.q == 2 and not cfg.args.star
+    assert cfg.q == 2 and not cfg.star
 
 
 def test_compute_truncated(capsys):

@@ -60,15 +60,17 @@ def reference_nullspace(spec, rows, pivots, cols):
 @st.composite
 def matrices(draw):
     """(spec, entries, cols): tall matrices up to 6 columns, or wide ones
-    past 64 and 256 columns, whose rows are random, sparse, zero, copies or
-    combinations of earlier rows.  Entries come from a drawn seed."""
+    past 64 and 256 columns, whose rows are random, sparse, one or two
+    nonzero entries in a few shared columns (so leading columns tie), zero,
+    copies or combinations of earlier rows.  Entries come from a drawn seed."""
     spec = draw(st.sampled_from(SPECS))
     cols = draw(st.one_of(st.integers(1, 6),
                           st.sampled_from((63, 64, 65, 255, 256, 257, 300))))
     kinds = draw(st.lists(st.sampled_from(
-        ("random", "sparse", "zero", "copy", "combination")),
+        ("random", "sparse", "few", "zero", "copy", "combination")),
         max_size=20 if cols <= 6 else 8))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    hot = rng.sample(range(cols), min(cols, 4))  # the columns of "few" rows
     entries = []
     for kind in kinds:
         if kind == "zero" or (kind in ("copy", "combination") and not entries):
@@ -80,6 +82,10 @@ def matrices(draw):
             x, y = rng.randrange(spec.q), rng.randrange(spec.q)
             row = [spec.add(spec.mul(x, u), spec.mul(y, w))
                    for u, w in zip(a, b)]
+        elif kind == "few":
+            row = [0] * cols
+            for j in rng.sample(hot, min(len(hot), rng.randint(1, 2))):
+                row[j] = rng.randrange(1, spec.q)
         elif kind == "sparse":
             row = [rng.randrange(1, spec.q) if rng.random() < 0.1 else 0
                    for _ in range(cols)]

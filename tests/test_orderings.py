@@ -13,9 +13,11 @@ from ffmzv import (FieldSpec, GFRing, RationalRing, TruncatedPolyRing,
                    ZModRing, mht_sum, random_instance)
 from ffmzv.errors import InvalidFamilyInput
 from ffmzv.harmonic import mht_orderings_sum
-from ffmzv.relations import (check_doubling_shape, doubling_identity_terms,
-                             doubling_terms, signed_perm_identity_terms,
-                             signed_perm_terms)
+from ffmzv.relations import (check_doubling_shape,
+                             doubling_generators,
+                             doubling_identity_generators, expand,
+                             signed_perm_generators,
+                             signed_perm_identity_generators)
 
 RINGS = [ZModRing(12), TruncatedPolyRing(5, 3), RationalRing(),
          GFRing(FieldSpec.parse("q=4"))]
@@ -186,9 +188,9 @@ def literal_doubling_identity_terms(pairs):
 @given(st.lists(st.integers(-6, 12), min_size=1, max_size=5, unique=True))
 def test_signed_perm_expansions_match_the_literal_builders(entries):
     entries = tuple(entries)
-    assert Counter(signed_perm_terms(entries)) == \
+    assert Counter(expand(signed_perm_generators(entries))) == \
         Counter(literal_signed_perm_terms(entries))
-    assert Counter(signed_perm_identity_terms(entries)) == \
+    assert Counter(expand(signed_perm_identity_generators(entries))) == \
         Counter(literal_signed_perm_identity_terms(entries))
 
 
@@ -210,7 +212,7 @@ def doubling_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(doubling_pairs())
 def test_doubling_expansions_match_the_literal_builders(pairs):
-    assert Counter(doubling_terms(pairs)) == \
+    assert Counter(expand(doubling_generators(pairs))) == \
         Counter(literal_doubling_terms(pairs))
-    assert Counter(doubling_identity_terms(pairs)) == \
+    assert Counter(expand(doubling_identity_generators(pairs))) == \
         Counter(literal_doubling_identity_terms(pairs))
