@@ -142,7 +142,7 @@ def _step(sums, top_row, star, ring, start=0):
                     else sums[start:] if start else sums))
 
 
-def _orderings_top_terms(entries, D, star, ring, h, signed, memo):
+def _orderings_top_terms(entries, star, ring, rows, signed, memo):
     """The prefix sums P[0..D] of T[d] summed over the distinct orderings of
     the multiset ``entries``; when ``signed``, over all of S_n weighted by
     the sign of the permutation (the entries are then distinct, and ring
@@ -151,8 +151,9 @@ def _orderings_top_terms(entries, D, star, ring, h, signed, memo):
     The orderings with value e on top are e followed by the orderings of the
     rest, so T_M[d] = sum over the distinct values e of M of
     eps(e) * h(d, e) * P[d], with P the prefix sums of T_{M minus e} as in
-    ``_step``.  eps(e) = 1, or, when signed, (-1)^(number of remaining
-    entries before e in the given order).  ``memo`` may be shared with
+    ``_step`` and rows[e] = [h(0, e), ..., h(D - 1, e)].  eps(e) = 1, or,
+    when signed, (-1)^(number of remaining entries before e in the given
+    order).  ``memo`` may be shared with
     ``_top_terms``: its keys here are ("orderings", star, signed,
     sub-multiset), the sub-multiset sorted, or in the given order when
     signed, so they never meet the (carrier, star, suffix) keys there.
@@ -164,14 +165,14 @@ def _orderings_top_terms(entries, D, star, ring, h, signed, memo):
         return sums
     top = None
     if len(entries) == 1:
-        top = [h(d, entries[0]) for d in range(D)]
+        top = rows[entries[0]]
     else:
         for i, e in enumerate(entries):
             if not signed and i and entries[i - 1] == e:
                 continue  # one pick per distinct value
             rest = entries[:i] + entries[i + 1:]
-            sub = _orderings_top_terms(rest, D, star, ring, h, signed, memo)
-            pick = _step(sub, [h(d, e) for d in range(D)], star, ring)
+            sub = _orderings_top_terms(rest, star, ring, rows, signed, memo)
+            pick = _step(sub, rows[e], star, ring)
             if signed and i % 2:
                 pick = list(map(ring.neg, pick))
             top = pick if top is None else list(map(ring.add, top, pick))
@@ -192,7 +193,8 @@ def orderings_sum(entries, D, star, ring, h, signed=False, memo=None):
     multiset ``entries`` (signed as in ``_orderings_top_terms``), by one DP
     over its sub-multisets rather than one chain sum per ordering; memo as
     in ``chain_sum``."""
-    return _orderings_top_terms(entries, D, star, ring, h, signed,
+    rows = {e: [h(d, e) for d in range(D)] for e in set(entries)}
+    return _orderings_top_terms(entries, star, ring, rows, signed,
                                 {} if memo is None else memo)[D]
 
 
