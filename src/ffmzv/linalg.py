@@ -1,4 +1,5 @@
-"""F_q linear algebra: dense row reduction and rank, sparse kernel bases."""
+"""F_q linear algebra: dense row reduction and rank, sparse kernel bases
+and sparse echelon rows."""
 
 from __future__ import annotations
 
@@ -92,26 +93,30 @@ def stack_rank(spec: FieldSpec, vectors: list[list[int]]) -> int:
     return FqMatrix(spec, vectors).rank()
 
 
-def spans(spec: FieldSpec, basis: list[list[tuple[int, int]]],
-          vectors: list[list[int]]) -> bool:
-    """Whether every dense vector lies in the span of ``basis``, whose rows
-    are (column, coefficient) pairs in ascending column order, as
-    ``nullspace`` gives them, and must end in distinct columns (else
-    ``ValueError``).  Each vector is reduced against the rows from its last
-    column down; the basis is never reduced.
+def echelon(spec: FieldSpec, vectors: list[list[tuple[int, int]]],
+            rows: dict[int, list[tuple[int, int]]] | None = None
+            ) -> dict[int, list[tuple[int, int]]]:
+    """Echelon rows of ``rows`` extended by ``vectors``, each a list of
+    (column, coefficient) pairs in distinct columns, as ``nullspace`` gives
+    them.  A row is keyed by its last column and ends in coefficient 1; each
+    vector is reduced from its last column down against the rows, and a
+    nonzero remainder becomes a new row.  Rows with distinct last columns
+    are independent, so the rank is the number of rows.  Returns a new
+    dict; ``rows`` is left unchanged.
     """
-    rows = {}
-    for vec in basis:
-        last, lead = vec[-1]
-        if last in rows:
-            raise ValueError("basis rows must end in distinct columns")
-        rows[last] = [(c, spec.mul(spec.inv(lead), a)) for c, a in vec[:-1]]
+    rows = dict(rows or {})
     for vec in vectors:
-        x = list(vec)
-        for j in reversed(range(len(x))):
-            if f := x[j]:
-                if j not in rows:
-                    return False
-                for c, a in rows[j]:
-                    x[c] = spec.sub(x[c], spec.mul(f, a))
-    return True
+        x = {c: a for c, a in vec if a}
+        while x:
+            last = max(x)
+            if last not in rows:
+                inv = spec.inv(x[last])
+                rows[last] = [(c, spec.mul(inv, x[c])) for c in sorted(x)]
+                break
+            f = spec.neg(x[last])
+            for c, a in rows[last]:
+                if y := spec.add(x.get(c, 0), spec.mul(f, a)):
+                    x[c] = y
+                else:
+                    x.pop(c, None)
+    return rows

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
 
 from .errors import InvalidEvaluator, InvalidFamilyInput
 from .fields import FieldSpec
@@ -36,28 +35,16 @@ from .zeta import (Composition, _truncated_frac, exact_ring, finite_mzv,
 # -- family generators and their terms (integer coefficients, plain tuples) -----
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _signed_orders(entries: tuple[int, ...]):
-    """(sgn(sigma), sigma(entries)) over all of S_n (entries distinct)."""
-    n = len(entries)
-    for perm in permutations(range(n)):
-        yield _perm_sign(perm), tuple(entries[i] for i in perm)
+    """(sgn(sigma), sigma(entries)) over all of S_n (entries distinct), in
+    the order of ``itertools.permutations``: the i-th remaining entry goes
+    first, with sign (-1)^i, in front of each signed order of the rest."""
+    if not entries:
+        yield 1, ()
+        return
+    for i, e in enumerate(entries):
+        for sign, rest in _signed_orders(entries[:i] + entries[i + 1:]):
+            yield (-sign if i % 2 else sign), (e,) + rest
 
 
 # A generator (coeff, head, multiset, signed) stands for coeff times the

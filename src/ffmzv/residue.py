@@ -123,30 +123,26 @@ class ResidueElem:
             raise MixedModulus(
                 f"incompatible moduli ({self.v})^{self.N} vs ({other.v})^{other.N}")
 
-    def _wrap(self, rep: Poly) -> "ResidueElem":
-        """Same ring; rep must already have degree < deg(v^N)."""
-        return ResidueElem(self.ring, rep)
-
     def __add__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
-        return self._wrap(self.rep + other.rep)
+        return ResidueElem(self.ring, self.rep + other.rep)
 
     def __sub__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
-        return self._wrap(self.rep - other.rep)
+        return ResidueElem(self.ring, self.rep - other.rep)
 
     def __neg__(self) -> "ResidueElem":
-        return self._wrap(-self.rep)
+        return ResidueElem(self.ring, -self.rep)
 
     def __mul__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
-        return self._wrap(self.rep * other.rep % self.ring.modulus)
+        return ResidueElem(self.ring, self.rep * other.rep % self.ring.modulus)
 
     def inv(self) -> "ResidueElem":
         g, u, _ = poly_ext_gcd(self.rep, self.ring.modulus)
         if g.degree() != 0:
             raise NotInvertible(f"{self.rep} is not invertible mod ({self.v})^{self.N}")
-        return self._wrap(u % self.ring.modulus)
+        return ResidueElem(self.ring, u % self.ring.modulus)
 
     def __pow__(self, e: int) -> "ResidueElem":
         base = self.inv() if e < 0 else self
@@ -161,7 +157,7 @@ class ResidueElem:
         return self.ring.one() if out is None else out
 
     def scale_int(self, c: int) -> "ResidueElem":
-        return self._wrap(self.rep.scale(self.spec.from_int(c)))
+        return ResidueElem(self.ring, self.rep.scale(self.spec.from_int(c)))
 
     def reduce_precision(self, M: int) -> "ResidueElem":
         """The image in A/(v^M) for M <= N."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidFamilyInput, InvalidScope, ScopeMismatch
 from .fields import FieldSpec
-from .linalg import FqMatrix, nullspace, spans, stack_rank
+from .linalg import FqMatrix, echelon, nullspace
 from .poly import Poly
 from .relations import (FormalRelation, Thm3Config, gen_thm2, gen_thm3,
                         is_q_even, is_trivial_zero)
@@ -149,32 +149,22 @@ def _universal_relations(scope: SearchScope,
     return rels
 
 
-def _relation_vector(rel: FormalRelation, index: dict[tuple, int],
-                     spec: FieldSpec, cols: int) -> list[int]:
-    vec = [0] * cols
+def _relation_pairs(rel: FormalRelation, index: dict[tuple, int],
+                    spec: FieldSpec) -> list[tuple[int, int]]:
+    """A relation as the (column, coefficient) pairs of its terms, or
+    ``ScopeMismatch`` unless it is over ``spec`` and each term is one
+    factor among the scope's tuples."""
+    if rel.spec != spec:
+        raise ScopeMismatch(f"relation over {rel.spec}, scope over {spec}")
+    pairs = {}
     for coeff, factors in rel.terms:
         if len(factors) != 1:
             raise ScopeMismatch("only single-factor relations live in the scan space")
-        f = factors[0]
-        if f not in index:
-            raise ScopeMismatch(f"tuple {f} outside scope")
-        vec[index[f]] = spec.add(vec[index[f]], coeff % spec.q)
-    return vec
-
-
-def _rank_with_units(spec: FieldSpec, vectors: list[list[int]]) -> int:
-    """``stack_rank`` of vectors most of which are unit vectors (single-term
-    relations): each distinct unit column adds one to the rank, and only
-    the other vectors, with those columns zeroed, are row reduced."""
-    units, others = set(), []
-    for vec in vectors:
-        if len(vec) - vec.count(0) == 1:
-            units.add(next(j for j, c in enumerate(vec) if c))
-        else:
-            others.append(vec)
-    return len(units) + stack_rank(
-        spec, [[0 if c and j in units else c for j, c in enumerate(vec)]
-               for vec in others])
+        if (j := index.get(factors[0])) is None:
+            raise ScopeMismatch(f"tuple {factors[0]} outside scope")
+        c = coeff % spec.q
+        pairs[j] = spec.add(pairs[j], c) if j in pairs else c
+    return list(pairs.items())
 
 
 def compare_with_universal(found: list[FormalRelation],
@@ -182,10 +172,11 @@ def compare_with_universal(found: list[FormalRelation],
     """Report comparing the found nullspace with the universal span.
 
     ``found`` is a nullspace basis, as ``find_relations`` returns it, so its
-    dimension is its length, and containment reduces the dense universal
-    vectors by ``spans`` against its relations' (column, coefficient) pairs
-    in column order, each ending in its own free column.  Every column is
-    the exact value mod v^N, taken at the bound D = N*deg(v)+1, so
+    dimension is its length.  Found and universal relations go to
+    ``echelon`` as (column, coefficient) pairs: ``dim_universal`` is the
+    number of echelon rows of the universal relations, and containment
+    holds when they add no row to the found relations' rows.  Every column
+    is the exact value mod v^N, taken at the bound D = N*deg(v)+1, so
     containment of the universal span in the found span is theorem-backed
     and ``unstabilized_columns`` is always empty; the residual counts found
     directions beyond it.
@@ -193,14 +184,13 @@ def compare_with_universal(found: list[FormalRelation],
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
     spec = scope.spec
-    universal = _universal_relations(scope, tuples)
-    uni_vecs = [_relation_vector(r, index, spec, len(tuples))
-                for r in universal]
+    found_rows = echelon(spec, [_relation_pairs(r, index, spec) for r in found])
+    universal = [_relation_pairs(r, index, spec)
+                 for r in _universal_relations(scope, tuples)]
 
     dim_found = len(found)
-    dim_universal = _rank_with_units(spec, uni_vecs)
-    containment = spans(spec, [[(index[fs[0]], c) for c, fs in r.terms]
-                               for r in found], uni_vecs)
+    dim_universal = len(echelon(spec, universal))
+    containment = len(echelon(spec, universal, found_rows)) == len(found_rows)
 
     return {
         "scope": scope.describe(),

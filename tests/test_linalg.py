@@ -1,10 +1,11 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import FieldSpec, FqMatrix, nullspace, stack_rank
-from ffmzv.linalg import spans
+from ffmzv.linalg import echelon
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -176,29 +177,56 @@ def test_packed_elimination_on_zero_and_unnormalised_matrices():
             reference_rref(spec, entries, 4)
 
 
+def pairs(vec):
+    """A dense vector's nonzero (column, coefficient) pairs."""
+    return [(c, a) for c, a in enumerate(vec) if a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_echelon_rank_matches_stack_rank(case):
+    spec, entries, cols = case
+    rows = echelon(spec, [pairs(row) for row in entries])
+    assert len(rows) == stack_rank(spec, entries)
+    # each row is keyed by its last column and ends in coefficient 1
+    for last, row in rows.items():
+        assert [c for c, _ in row] == sorted({c for c, _ in row})
+        assert row[-1] == (last, 1) and all(a for _, a in row)
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices().filter(lambda case: case[2] <= 65),
        st.integers(0, 2 ** 32 - 1))
-def test_spans_matches_the_rank_of_the_stack(case, seed):
+def test_echelon_containment_matches_the_rank_of_the_stack(case, seed):
     # vectors in and out of a nullspace basis's span: the matrix's own rows
     # and random combinations of the basis; up to 65 columns, so the rank
     # of the stacked reference stays cheap
     spec, entries, cols = case
-    pairs = nullspace(FqMatrix(spec, entries, cols=cols))
-    basis = [dense(vec, cols) for vec in pairs]
+    basis_pairs = nullspace(FqMatrix(spec, entries, cols=cols))
+    basis = [dense(vec, cols) for vec in basis_pairs]
+    rows = echelon(spec, basis_pairs)
+    before = copy.deepcopy(rows)
     rng = random.Random(seed)
     vectors = [[spec.add(spec.mul(rng.randrange(spec.q), x), y)
                 for x, y in zip(a, b)]
                for a, b in zip(basis, basis[1:] + basis[:1])]
     for vecs in [vectors, entries, entries[:1], []]:
-        assert spans(spec, pairs, vecs) == \
+        grown = echelon(spec, [pairs(vec) for vec in vecs], rows)
+        assert (len(grown) == len(rows)) == \
             (stack_rank(spec, basis + vecs) == len(basis))
+        assert rows == before
 
 
-def test_spans_needs_rows_ending_in_distinct_columns():
-    # the rows [1, 2, 0] and [0, 0, 2]; a last coefficient other than 1
-    assert spans(F3, [[(0, 1), (1, 2)], [(2, 2)]], [[2, 1, 1]])
-    assert not spans(F3, [[(0, 1), (1, 2)], [(2, 2)]], [[0, 1, 0]])
-    # the rows [1, 1] and [0, 1] both end in column 1
-    with pytest.raises(ValueError):
-        spans(F2, [[(0, 1), (1, 1)], [(1, 1)]], [[1, 0]])
+def test_echelon_pinned_rows():
+    # the rows [1, 2, 0] and [0, 0, 2] over F_3, each scaled to end in 1
+    rows = echelon(F3, [[(0, 1), (1, 2)], [(2, 2)]])
+    assert rows == {1: [(0, 2), (1, 1)], 2: [(2, 1)]}
+    # [2, 1, 1] lies in their span and adds no row; [0, 1, 0] does not
+    assert echelon(F3, [[(0, 2), (1, 1), (2, 1)]], rows) == rows
+    assert echelon(F3, [[(1, 1)]], rows) == {**rows, 0: [(0, 1)]}
+    # a zero vector and a zero coefficient add nothing
+    assert echelon(F2, [[], [(0, 0)]]) == {}
+    # [1, 1] and [0, 1] end in the same column: the second reduces to [1, 0]
+    assert echelon(F2, [[(0, 1), (1, 1)], [(1, 1)]]) == \
+        {1: [(0, 1), (1, 1)], 0: [(0, 1)]}
+    assert rows == {1: [(0, 2), (1, 1)], 2: [(2, 1)]}

@@ -3,13 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmzv import (Composition, FieldSpec, SearchScope, Vadic,
-                   compare_with_universal, enumerate_tuples, evaluate_relation,
-                   find_relations, is_q_even, parse_poly, stack_rank,
-                   value_matrix)
-from ffmzv.errors import InvalidScope
-from ffmzv.search import (_rank_with_units, _relation_vector,
-                          _universal_relations)
+from ffmzv import (Composition, FieldSpec, FormalRelation, SearchScope,
+                   Vadic, compare_with_universal, enumerate_tuples,
+                   evaluate_relation, find_relations, is_q_even, parse_poly,
+                   stack_rank, value_matrix)
+from ffmzv.errors import InvalidScope, ScopeMismatch
+from ffmzv.linalg import echelon
+from ffmzv.search import _universal_relations
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -116,6 +116,14 @@ def test_describe_is_json_ready():
     json.dumps(scope.describe(), sort_keys=True)
 
 
+def relation_vector(rel, index, spec, cols):
+    """A single-factor relation as a dense vector over the scope's columns."""
+    vec = [0] * cols
+    for coeff, (factor,) in rel.terms:
+        vec[index[factor]] = spec.add(vec[index[factor]], coeff % spec.q)
+    return vec
+
+
 @pytest.mark.parametrize("w,d,N,dim", [(6, 3, 6, 35), (8, 4, 6, 156)])
 def test_dim_found_is_the_rank_of_the_found_relations(w, d, N, dim):
     """find_relations returns an independent basis, so the report's
@@ -124,7 +132,7 @@ def test_dim_found_is_the_rank_of_the_found_relations(w, d, N, dim):
     found = find_relations(scope)
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
-    vecs = [_relation_vector(r, index, F2, len(tuples)) for r in found]
+    vecs = [relation_vector(r, index, F2, len(tuples)) for r in found]
     assert compare_with_universal(found, scope)["dim_found"] == \
         stack_rank(F2, vecs) == dim
 
@@ -138,8 +146,8 @@ def test_containment_fails_when_a_found_relation_is_dropped(spec, v, w, d, N):
     found = find_relations(scope)
     tuples = enumerate_tuples(scope)
     index = {s.entries: j for j, s in enumerate(tuples)}
-    vecs = [_relation_vector(r, index, spec, len(tuples)) for r in found]
-    universal = [_relation_vector(r, index, spec, len(tuples))
+    vecs = [relation_vector(r, index, spec, len(tuples)) for r in found]
+    universal = [relation_vector(r, index, spec, len(tuples))
                  for r in _universal_relations(scope, tuples)]
     verdicts = set()
     for i in range(len(found)):
@@ -172,6 +180,24 @@ def mostly_unit_vectors(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(mostly_unit_vectors())
-def test_rank_with_units_matches_stack_rank(case):
+def test_echelon_rank_of_mostly_unit_vectors_matches_stack_rank(case):
     spec, vectors = case
-    assert _rank_with_units(spec, vectors) == stack_rank(spec, vectors)
+    rows = echelon(spec, [[(c, a) for c, a in enumerate(vec) if a]
+                          for vec in vectors])
+    assert len(rows) == stack_rank(spec, vectors)
+
+
+SMALL = SearchScope(F2, T2, weight_max=4, depth_max=3, N=2)
+
+
+@pytest.mark.parametrize("rel", [
+    # a two-factor term, zeta(1) zeta(2)
+    FormalRelation(terms=((1, ((1,), (2,))),), tag="custom", spec=F2),
+    # a factor outside the scope (weight 5 > 4)
+    FormalRelation(terms=((1, ((1,),)), (1, ((5,),))), tag="custom", spec=F2),
+    # a relation over F_4 for a scope over F_2
+    FormalRelation(terms=((1, ((1,),)),), tag="custom", spec=F4),
+], ids=["two-factors", "outside-scope", "other-field"])
+def test_compare_refuses_relations_outside_the_scan_space(rel):
+    with pytest.raises(ScopeMismatch):
+        compare_with_universal([rel], SMALL)
