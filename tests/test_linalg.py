@@ -1,7 +1,6 @@
 import copy
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import FieldSpec, FqMatrix, nullspace, stack_rank
