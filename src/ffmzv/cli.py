@@ -35,14 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "relation search, and generic harmonic-sum checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--q", type=int, default=2, help="field size (prime power)")
-        p.add_argument("--modulus", default=None,
-                       help="extension modulus, e.g. 'x^2+x+1'")
+    def common(p, field=True):
+        if field:
+            p.add_argument("--q", type=int, default=2,
+                           help="field size (prime power)")
+            p.add_argument("--modulus", default=None,
+                           help="extension modulus, e.g. 'x^2+x+1'")
         p.add_argument("--format", choices=("json", "csv", "plain"),
                        default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("compute", help="evaluate one zeta value")
     common(p)
@@ -77,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="drop the q-even-only filter")
 
     p = sub.add_parser("harmonic", help="random harmonic-identity checks")
-    common(p)
+    common(p, field=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ring", default="zmod:12",
                    help="zmod:M | polymod:P:K | rationals | gf:Q")
     p.add_argument("--checks", type=int, default=20)

@@ -243,6 +243,8 @@ def mht_orderings_sum(inst: MHTInstance, multiset: tuple[int, ...],
 
 
 def _check_magma(inst: MHTInstance, s):
+    if not s:
+        raise ValueError("exponent tuple must be nonempty")
     for e in s:
         if e not in inst.magma:
             raise ValueError(f"exponent {e} outside the instance magma")

@@ -6,10 +6,10 @@ a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
 the others (a finite value is the v-adic partial sum at N = 1 and
 D = deg v).  One step (``_step``) of one dynamic program over the top index
 serves every carrier and the generic rings of ``harmonic.mht_sum``.
-``_top_terms`` walks it over a tuple's suffixes, growing each suffix's
-table of prefix sums with D; the zeta carriers keep those tables in
-``_trunc_cache`` for the process.  ``orderings_sum`` walks it over the
-sub-multisets of a multiset.
+``_top_terms`` walks it over a tuple's suffixes, or over the sub-multisets
+of a multiset for ``orderings_sum``, growing each node's table of prefix
+sums with D; the zeta carriers keep those tables in ``_trunc_cache`` for
+the process.
 """
 
 from __future__ import annotations
@@ -98,39 +98,59 @@ def exact_ring(spec: FieldSpec) -> SimpleNamespace:
                            scale=lambda a, c: a.scale_int(c))
 
 
-def _top_terms(entries, D, star, ring, h, tables, carrier=None):
-    """The prefix sums P[0..L], L >= D, of the top terms of ``entries``:
-    T[d] sums over chains with top index exactly d the product of the
-    table values h(d_i, entries[i]), and P[d] = T[0] + ... + T[d - 1], so
-    P[D] is the chain sum below D.
+def _top_terms(entries, D, star, ring, h, tables, carrier=None,
+               orderings=None):
+    """The prefix sums P[0..L], L >= D, of the top terms of a node: T[d]
+    sums over its chains with top index exactly d the product of the table
+    values h(d_i, e_i), and P[d] = T[0] + ... + T[d - 1], so P[D] is the
+    chain sum below D.
 
-    T of a suffix does not depend on D, so ``tables`` maps (carrier, star,
-    suffix) to one table P per suffix, which a larger D only lengthens.  A
-    suffix's new cells need only its tail's prefix sums, so the walk
-    inwards stops at the first table that reaches D; the tables outside it
-    grow outwards, each by its new cells d = L..D-1 alone.  The stored
-    tables are shared, so callers must not mutate what this returns.
+    The node is ``entries`` read as a tuple when ``orderings`` is None, as
+    a multiset summed over its distinct orderings when False, and as a set
+    summed over all its orderings, each signed by its permutation, when
+    True (ring must then give neg).  A pick (eps, e, rest) of a node puts
+    e on top of the node ``rest`` of the same kind and adds
+    eps * h(d, e) * P_rest[d] to T[d] (P_rest[d + 1] when star), through
+    ``_step``: a tuple's one pick is its first entry, a multiset's are its
+    distinct values, and a signed set's i-th entry has eps = (-1)^i.
+
+    T of a node does not depend on D, so ``tables`` maps (carrier, star,
+    (orderings, entries)) to one table P per node, which a larger D only
+    lengthens: a node's new cells d = L..D-1 need only the tables of the
+    nodes below it, grown first, so the walk down stops at every table that
+    already reaches D.  The stored tables are shared, so callers must not
+    mutate what this returns.
     """
-    entries = tuple(entries)
-    # (top entry, key, table) of each suffix whose table does not reach D,
-    # outermost first
-    short = []
-    tail = None  # the prefix sums of the suffix inside them, if any
-    for i in range(len(entries)):
-        key = (carrier, star, entries[i:])
-        sums = tables.get(key, [ring.zero()])
-        if len(sums) > D:
-            tail = sums
-            break
-        short.append((entries[i], key, sums))
-    for k, key, sums in reversed(short):
-        L = len(sums) - 1
-        row = [h(d, k) for d in range(L, D)]
-        top = row if tail is None else _step(tail, row, star, ring, L)
-        # stored as a new list: a table another caller is reading stays valid
-        tail = tables[key] = sums + list(
-            accumulate(top, ring.add, initial=sums[-1]))[1:]
-    return tail
+    entries = tuple(sorted(entries) if orderings is False else entries)
+    return _grow((orderings, entries), D, star, ring, h, tables, carrier, {})
+
+
+def _grow(node, D, star, ring, h, tables, carrier, rows):
+    """The table of ``node`` in ``_top_terms``, grown to reach D; ``rows``
+    maps (e, L) to [h(L, e), ..., h(D - 1, e)], built once per walk."""
+    key = (carrier, star, node)
+    sums = tables.get(key) or [ring.zero()]
+    if len(sums) > D:
+        return sums
+    L = len(sums) - 1
+    kind, entries = node
+    top = None
+    for i, e in enumerate(entries[:1] if kind is None else entries):
+        if kind is False and i and entries[i - 1] == e:
+            continue  # one pick per distinct value
+        row = rows.get((e, L))
+        if row is None:
+            row = rows[e, L] = [h(d, e) for d in range(L, D)]
+        rest = entries[:i] + entries[i + 1:]
+        pick = _step(_grow((kind, rest), D, star, ring, h, tables, carrier,
+                           rows), row, star, ring, L) if rest else row
+        if kind and i % 2:
+            pick = list(map(ring.neg, pick))
+        top = pick if top is None else list(map(ring.add, top, pick))
+    # stored as a new list: a table another caller is reading stays valid
+    sums = tables[key] = sums + list(
+        accumulate(top, ring.add, initial=sums[-1]))[1:]
+    return sums
 
 
 def _step(sums, top_row, star, ring, start=0):
@@ -140,44 +160,6 @@ def _step(sums, top_row, star, ring, start=0):
     P[d] = sum of tail[d'] over d' < d, through P[d + 1] when star."""
     return list(map(ring.mul, top_row, sums[start + 1:] if star
                     else sums[start:] if start else sums))
-
-
-def _orderings_top_terms(entries, star, ring, rows, signed, memo):
-    """The prefix sums P[0..D] of T[d] summed over the distinct orderings of
-    the multiset ``entries``; when ``signed``, over all of S_n weighted by
-    the sign of the permutation (the entries are then distinct, and ring
-    must give neg).
-
-    The orderings with value e on top are e followed by the orderings of the
-    rest, so T_M[d] = sum over the distinct values e of M of
-    eps(e) * h(d, e) * P[d], with P the prefix sums of T_{M minus e} as in
-    ``_step`` and rows[e] = [h(0, e), ..., h(D - 1, e)].  eps(e) = 1, or,
-    when signed, (-1)^(number of remaining entries before e in the given
-    order).  ``memo`` may be shared with
-    ``_top_terms``: its keys here are ("orderings", star, signed,
-    sub-multiset), the sub-multiset sorted, or in the given order when
-    signed, so they never meet the (carrier, star, suffix) keys there.
-    """
-    entries = tuple(entries) if signed else tuple(sorted(entries))
-    key = ("orderings", star, signed, entries)
-    sums = memo.get(key)
-    if sums is not None:
-        return sums
-    top = None
-    if len(entries) == 1:
-        top = rows[entries[0]]
-    else:
-        for i, e in enumerate(entries):
-            if not signed and i and entries[i - 1] == e:
-                continue  # one pick per distinct value
-            rest = entries[:i] + entries[i + 1:]
-            sub = _orderings_top_terms(rest, star, ring, rows, signed, memo)
-            pick = _step(sub, rows[e], star, ring)
-            if signed and i % 2:
-                pick = list(map(ring.neg, pick))
-            top = pick if top is None else list(map(ring.add, top, pick))
-    sums = memo[key] = list(accumulate(top, ring.add, initial=ring.zero()))
-    return sums
 
 
 def chain_sum(entries, D, star, ring, h, memo=None):
@@ -190,16 +172,15 @@ def chain_sum(entries, D, star, ring, h, memo=None):
 
 def orderings_sum(entries, D, star, ring, h, signed=False, memo=None):
     """Sum of ``chain_sum`` over the distinct orderings of the nonempty
-    multiset ``entries`` (signed as in ``_orderings_top_terms``), by one DP
-    over its sub-multisets rather than one chain sum per ordering; memo as
-    in ``chain_sum``."""
-    rows = {e: [h(d, e) for d in range(D)] for e in set(entries)}
-    return _orderings_top_terms(entries, star, ring, rows, signed,
-                                {} if memo is None else memo)[D]
+    multiset ``entries`` (over S_n, signed, when ``signed``, as in
+    ``_top_terms``), by one DP over its sub-multisets rather than one chain
+    sum per ordering; memo as in ``chain_sum``."""
+    return _top_terms(entries, D, star, ring, h,
+                      {} if memo is None else memo, None, signed)[D]
 
 
-# (carrier, star, suffix) -> the suffix's table in ``_top_terms``; the
-# carrier is the FieldSpec for F_q(t) and the ResidueRing for A/(v^N)
+# (carrier, star, (None, suffix)) -> the suffix's table in ``_top_terms``;
+# the carrier is the FieldSpec for F_q(t) and the ResidueRing for A/(v^N)
 _trunc_cache: dict[tuple, list] = {}
 
 

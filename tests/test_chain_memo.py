@@ -1,12 +1,15 @@
 """The suffix tables of the chain-sum DP: with one store shared across the
 orderings of a multiset, every table must equal the one a fresh store
 builds, in every carrier the DP serves.  Likewise the truncated and v-adic
-values read off the growing per-suffix tables of the process store, at any
-D in any order, star and strict, at every precision N."""
+values read off the growing per-suffix tables of the process store, and the
+orderings sums off the growing sub-multiset tables of one store, at any D
+in any order, star and strict, at every precision N."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +21,7 @@ from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
 from ffmzv.power_sums import _exact_frac, _residue_sum
 from ffmzv.relations import sum_of_products
 from ffmzv.zeta import (_top_terms, _truncated_frac, chain_sum, exact_bound,
-                        exact_ring, vadic_mzv)
+                        exact_ring, orderings_sum, vadic_mzv)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -83,8 +86,8 @@ def test_shared_memo_matches_a_fresh_dp(carrier, seed, star, factors):
         assert canon(chain_sum(f, D, star, ring, h, tables)) == \
             canon(chain_sum(f, D, star, ring, h)), f
     # every stored suffix holds its own fresh table: nothing was mutated
-    for (_, key_star, suffix), sums in tables.items():
-        assert key_star == star
+    for (_, key_star, (kind, suffix)), sums in tables.items():
+        assert key_star == star and kind is None
         assert [canon(x) for x in sums] == table(suffix, {}), suffix
 
 
@@ -92,11 +95,11 @@ def test_memo_holds_every_suffix_once():
     ring, D, h = _carrier("zmod", 0)
     tables = {}
     _top_terms((1, 2, 3), D, False, ring, h, tables)
-    assert set(tables) == {(None, False, s)
+    assert set(tables) == {(None, False, (None, s))
                            for s in [(3,), (2, 3), (1, 2, 3)]}
     before = dict(tables)
     _top_terms((4, 2, 3), D, False, ring, h, tables)
-    assert set(tables) == {(None, False, s)
+    assert set(tables) == {(None, False, (None, s))
                            for s in [(3,), (2, 3), (1, 2, 3), (4, 2, 3)]}
     assert all(tables[k] is before[k] for k in before)  # reused, not rebuilt
 
@@ -134,8 +137,10 @@ def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
 @st.composite
 def compositions_and_levels(draw, levels):
     """Compositions sharing a tail, and a sequence of asks (composition,
-    level, star) whose levels run ascending, descending or as drawn, with
-    repeats."""
+    level, star, kind) whose levels run ascending, descending or as drawn,
+    with repeats; the kind is None for the chain sum of the composition,
+    False for the sum over the distinct orderings of its multiset and True
+    for the signed sum over the orderings of its distinct entries."""
     entry = st.integers(-2, 3)
     tail = tuple(draw(st.lists(entry, min_size=1, max_size=2)))
     heads = draw(st.lists(entry, min_size=1, max_size=2))
@@ -145,28 +150,43 @@ def compositions_and_levels(draw, levels):
     if order != "drawn":
         asked.sort(reverse=order == "descending")
     asked.append(asked[0])
-    return [(draw(st.sampled_from(comps)), level, draw(st.booleans()))
-            for level in asked]
+    return [(draw(st.sampled_from(comps)), level, draw(st.booleans()),
+             draw(st.sampled_from([None, False, True]))) for level in asked]
 
 
-def _fresh(spec, v, entries, D, N, star):
+def _ring_and_table(spec, v, N):
+    """The carrier ring, given neg for the signed sums, and its table."""
+    if v is None:
+        ring, h = exact_ring(spec), partial(_exact_frac, spec)
+    else:
+        ring, h = ResidueRing(v, N), _residue_table(spec, v, N)
+    return SimpleNamespace(zero=ring.zero, add=ring.add, mul=ring.mul,
+                           neg=operator.neg), h
+
+
+def _fresh(spec, v, entries, D, N, star, kind):
     """(value, stable_from) from a fresh store; stable_from is the least
     level from which the partial sums stay at the value (None for F_q(t),
-    whose value is compared normalized)."""
+    whose value is compared normalized, and for the orderings sums)."""
+    ring, h = _ring_and_table(spec, v, N)
+    sums = _top_terms(entries, D, star, ring, h, {}, None, kind)[:D + 1]
     if v is None:
-        sums = _top_terms(entries, D, star, exact_ring(spec),
-                          partial(_exact_frac, spec), {})
         return sums[D].to_ratfn(), None
-    sums = _top_terms(entries, D, star, ResidueRing(v, N),
-                      _residue_table(spec, v, N), {})[:D + 1]
+    if kind is not None:
+        return sums[D], None
     stable = D
     while stable > 1 and sums[stable - 1] == sums[D]:
         stable -= 1
     return sums[D], stable
 
 
-def _stored(spec, v, entries, D, N, star):
-    """(value, stable_from) read off the process store, as ``_fresh``."""
+def _stored(spec, v, entries, D, N, star, kind, stores):
+    """(value, stable_from) read off the process store, as ``_fresh``; an
+    orderings sum reads off ``stores``, one store per carrier."""
+    if kind is not None:
+        ring, h = _ring_and_table(spec, v, N)
+        return orderings_sum(entries, D, star, ring, h, kind,
+                             stores.setdefault(N, {})), None
     if v is None:
         return _truncated_frac(D, Composition(entries), star, spec), None
     report = vadic_mzv(v, Composition(entries), TruncationConfig(D, N, star),
@@ -179,23 +199,28 @@ def _stored(spec, v, entries, D, N, star):
                         (F3, T3)]), st.data())
 def test_growing_tables_match_a_fresh_dp_at_every_D(carrier, data):
     """Truncated values at D = 1..4, and v-adic values at N = 1..3 with D
-    below, at and past exact_bound(v, N), share one store."""
+    below, at and past exact_bound(v, N), share one store; so do the
+    orderings sums of each carrier, at the same levels."""
     spec, v = carrier
     levels = (st.tuples(st.integers(1, 4), st.none()) if v is None else
               st.tuples(st.integers(1, exact_bound(v, 3) + 2),
                         st.integers(1, 3)))
     asks = data.draw(compositions_and_levels(levels))
-    seen = []
+    seen, stores = [], {}
     with mock.patch.object(zeta, "_trunc_cache", {}):
-        for entries, (D, N), star in asks:
-            value, stable = _stored(spec, v, entries, D, N, star)
-            fresh = _fresh(spec, v, entries, D, N, star)
+        for entries, (D, N), star, kind in asks:
+            if kind:  # a signed sum is over distinct entries
+                entries = tuple(dict.fromkeys(entries))
+            value, stable = _stored(spec, v, entries, D, N, star, kind,
+                                    stores)
+            fresh = _fresh(spec, v, entries, D, N, star, kind)
             canon = value if v else value.to_ratfn()
-            assert (canon, stable) == fresh, (entries, D, N, star)
-            seen.append((entries, D, N, star, value, fresh))
+            assert (canon, stable) == fresh, (entries, D, N, star, kind)
+            seen.append((entries, D, N, star, kind, value, fresh))
         # the tables only ever grow: every earlier answer is still there
-        for entries, D, N, star, value, fresh in seen:
-            again, stable = _stored(spec, v, entries, D, N, star)
+        for entries, D, N, star, kind, value, fresh in seen:
+            again, stable = _stored(spec, v, entries, D, N, star, kind,
+                                    stores)
             canon = again if v else again.to_ratfn()
             assert again is value and (canon, stable) == fresh, \
-                (entries, D, N, star)
+                (entries, D, N, star, kind)

@@ -140,6 +140,16 @@ def test_exit_code_2_on_usage_errors(capsys):
         assert flag in capsys.readouterr().err
     assert main(["harmonic", "--ring", "zmod:2", "--doubling",
                  "--magma-size", "0"]) == 2
+    # flags a subcommand would parse and then ignore are not accepted
+    for argv in (["compute", "--tuple", "(1,)", "--D", "2"],
+                 ["verify", "--family", "thm2", "--tuple", "(1,2,3)",
+                  "--evaluator", "trunc", "--D", "2"],
+                 ["search", "--v", "t", "--weight-max", "4", "--depth-max",
+                  "3", "--N", "2"],
+                 ["primes", "--degree-max", "2"]):
+        assert main(argv + ["--seed", "5"]) == 2, argv
+    assert main(["harmonic", "--q", "3"]) == 2
+    assert main(["harmonic", "--modulus", "x^2+1"]) == 2
     capsys.readouterr()
 
 

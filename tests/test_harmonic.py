@@ -8,6 +8,7 @@ from ffmzv import (Composition, FieldSpec, GFRing, MHTInstance, RationalFn,
                    RationalRing, TruncatedPolyRing, ZModRing, check_thmC,
                    check_thmD, mht_sum, random_instance, truncated_mzv)
 from ffmzv.errors import DoublingLawViolated, InvalidFamilyInput
+from ffmzv.harmonic import mht_orderings_sum
 from ffmzv.power_sums import _exact_frac
 
 F2 = FieldSpec.parse("q=2")
@@ -53,6 +54,11 @@ def test_mht_sum_validates_exponents():
     inst = random_instance(0, ZModRing(5), (3, 2))
     with pytest.raises(ValueError):
         mht_sum(inst, (10 ** 9,))
+    with pytest.raises(ValueError):
+        mht_sum(inst, ())
+    for signed in (False, True):
+        with pytest.raises(ValueError):
+            mht_orderings_sum(inst, (), signed=signed)
 
 
 def test_classical_double_zeta_specialization():
