@@ -101,7 +101,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _field_spec(args) -> FieldSpec:
     text = f"q={args.q}"
-    if args.modulus:
+    if args.modulus is not None:
         text += f";modulus={args.modulus}"
     return FieldSpec.parse(text)
 
@@ -114,11 +114,13 @@ def _parse_prime(text: str, spec: FieldSpec) -> Poly:
 
 
 def _parse_pairs(text: str) -> Thm3Config:
+    """Comma-separated (s:k) pairs and nothing else, e.g. "(1:2),(3:2)"."""
     pairs = []
-    for match in re.finditer(r"\(\s*(-?\d+)\s*:\s*(\d+)\s*\)", text):
-        pairs.append((int(match.group(1)), int(match.group(2))))
-    if not pairs:
-        raise ParseError(f"no (s:k) pairs in {text!r}")
+    for part in text.split(","):
+        m = re.fullmatch(r"\s*\(\s*(-?[0-9]+)\s*:\s*([0-9]+)\s*\)\s*", part)
+        if m is None:
+            raise ParseError(f"bad (s:k) pair {part!r} in {text!r}")
+        pairs.append((int(m[1]), int(m[2])))
     return Thm3Config(tuple(pairs))
 
 

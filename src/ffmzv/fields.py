@@ -15,10 +15,9 @@ table is built once per field, on first use.
 
 from __future__ import annotations
 
-import re
-
 from .errors import DivisionByZero, InvalidFieldSpec, ParseError
-from .poly import Poly, irreducible_polys, is_irreducible
+from .poly import (Poly, _parse_sum, _prime_coeff, _sum_str,
+                   irreducible_polys, is_irreducible)
 
 
 def is_prime(n: int) -> bool:
@@ -45,34 +44,6 @@ def _split_prime_power(q: int) -> tuple[int, int]:
         if m == 1 and f >= 1:
             return p, f
     raise InvalidFieldSpec(f"{q} is not a prime power")
-
-
-_MOD_TERM = re.compile(r"^(?:(\d+)\*?)?(?:x(?:\^(\d+))?)?$")
-
-
-def _parse_mod_poly(text: str, p: int) -> tuple[int, ...]:
-    coeffs: dict[int, int] = {}
-    for raw in text.replace("-", "+-").split("+"):
-        term = raw.strip()
-        if not term:
-            continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        m = _MOD_TERM.match(term)
-        if not m or (m.group(1) is None and "x" not in term):
-            if not term.isdigit():
-                raise ParseError(f"bad modulus term {raw!r}")
-        coef = int(m.group(1)) if m.group(1) else (int(term) if term.isdigit() else 1)
-        if "x" in term:
-            exp = int(m.group(2)) if m.group(2) else 1
-        else:
-            exp = 0
-        if neg:
-            coef = -coef
-        coeffs[exp] = (coeffs.get(exp, 0) + coef) % p
-    deg = max(coeffs) if coeffs else 0
-    return tuple(coeffs.get(i, 0) for i in range(deg + 1))
 
 
 class FieldSpec:
@@ -125,41 +96,28 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        """Parse a field-spec string such as "q=9;modulus=x^2+1" or "q=3"."""
-        q = None
-        modulus_text = None
+        """Parse a field-spec string such as "q=9;modulus=x^2+1" or "q=3":
+        q once, and a modulus at most once, for an extension field only."""
+        keys: dict[str, str] = {}
         for part in text.split(";"):
-            part = part.strip()
-            if not part:
+            if not part.strip():
                 continue
-            if "=" not in part:
+            key, eq, val = (s.strip() for s in part.partition("="))
+            if not eq or key not in ("q", "modulus") or key in keys:
                 raise ParseError(f"bad field spec fragment {part!r}")
-            key, _, val = part.partition("=")
-            key = key.strip()
-            if key == "q":
-                q = int(val)
-            elif key == "modulus":
-                modulus_text = val.strip()
-            else:
-                raise ParseError(f"unknown field spec key {key!r}")
-        if q is None:
+            keys[key] = val
+        if "q" not in keys:
             raise ParseError("field spec must set q")
-        p, f = _split_prime_power(q)
-        modulus = _parse_mod_poly(modulus_text, p) if (modulus_text and f > 1) else None
-        return cls(p, f, modulus)
+        p, f = _split_prime_power(int(keys["q"]))
+        if "modulus" not in keys:
+            return cls(p, f)
+        if f == 1:
+            raise ParseError(f"the prime field F_{p} takes no modulus")
+        return cls(p, f, _parse_sum(keys["modulus"], "x", _prime_coeff,
+                                    cls(p)))
 
     def modulus_string(self) -> str:
-        terms = []
-        for e in range(self.f, -1, -1):
-            c = self.modulus[e]
-            if not c:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                base = "x" if e == 1 else f"x^{e}"
-                terms.append(base if c == 1 else f"{c}*{base}")
-        return "+".join(terms) if terms else "0"
+        return _sum_str([str(c) for c in self.modulus], "x")
 
     def spec_string(self) -> str:
         if self.f == 1:

@@ -463,120 +463,94 @@ def irreducible_polys(spec: FieldSpec, degree: int):
             yield v
 
 
-# -- parsing / printing ----------------------------------------------------------
+# -- literals --------------------------------------------------------------------
+
+def _parse_sum(text: str, var: str, coeff, spec: FieldSpec) -> list[int]:
+    """Parse a sparse sum in ``var``, such as "2*x^3-x+1", into its dense
+    coefficient list, ascending powers; ``coeff(c, spec)`` reads each
+    coefficient c as an element of ``spec``, which adds them up.
+
+    The terms are split at + and - outside parentheses, and the first may
+    have a leading -.  Each term is c, var, var^e or c*var^e (the *
+    optional), with e in ASCII digits; whitespace may surround terms and
+    signs, and nowhere else.  An empty term (so a leading +, or a doubled
+    or dangling sign) and unbalanced parentheses raise ParseError.
+    """
+    body = text.strip()
+    neg = body.startswith("-")
+    if neg:
+        body = body[1:]
+    out: dict[int, int] = {}
+    depth = start = 0
+    for i, ch in enumerate(body + "+"):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch not in "+-" or depth:
+            continue
+        term = body[start:i].strip()
+        if not term:
+            raise ParseError(f"empty term or stray sign in {text!r}")
+        m = re.fullmatch(rf"(?:(.*?\S)\*?)?{var}(?:\^([0-9]+))?", term)
+        if m is None and var in term:
+            raise ParseError(f"bad term {term!r} in {text!r}")
+        head, e = (m[1], int(m[2] or 1)) if m else (term, 0)
+        c = 1 if head is None else coeff(head, spec)
+        out[e] = spec.add(out.get(e, 0), spec.neg(c) if neg else c)
+        neg, start = ch == "-", i + 1
+    if depth:
+        raise ParseError(f"unbalanced parentheses in {text!r}")
+    return [out.get(e, 0) for e in range(max(out) + 1)]
+
+
+def _prime_coeff(text: str, spec: FieldSpec) -> int:
+    """A coefficient in ASCII digits, read in F_p."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"bad coefficient {text!r}")
+    return int(text) % spec.p
+
 
 def _parse_fq_scalar(text: str, spec: FieldSpec) -> int:
-    """Parse an F_q scalar like "2", "a", "a^2", "2*a", or "a+1"."""
-    total = 0
-    for raw in text.replace("-", "+-").split("+"):
-        term = raw.strip()
-        if not term:
-            continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        m = re.match(r"^(?:(\d+)\*?)?(?:a(?:\^(\d+))?)?$", term)
-        if not m or (m.group(1) is None and "a" not in term):
-            if not term.isdigit():
-                raise ParseError(f"bad scalar term {raw!r}")
-        coef = int(m.group(1)) if m.group(1) else 1
-        if "a" in term:
-            e = int(m.group(2)) if m.group(2) else 1
-            if e >= spec.f and spec.f > 1:
-                raise ParseError(f"generator power a^{e} exceeds basis degree")
-            if spec.f == 1:
-                raise ParseError("generator 'a' used in a prime field")
-            val = spec.from_coords([coef % spec.p if k == e else 0
-                                    for k in range(spec.f)])
-        else:
-            val = spec.from_int(coef)
-        if neg:
-            val = spec.neg(val)
-        total = spec.add(total, val)
-    return total
+    """Parse an F_q scalar like "2", "a", "a^2", "2*a", or "a+1": a sum in
+    the generator a, below a^f, with coefficients in F_p."""
+    if spec.f == 1 and "a" in text:
+        raise ParseError("generator 'a' used in a prime field")
+    coords = _parse_sum(text, "a", _prime_coeff, spec)
+    if len(coords) > spec.f:
+        raise ParseError(f"generator power a^{len(coords) - 1} exceeds "
+                         "basis degree")
+    return spec.from_coords(coords)
+
+
+def _scalar_coeff(text: str, spec: FieldSpec) -> int:
+    """A coefficient of t: an F_q scalar, in parentheses when a sum."""
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    return _parse_fq_scalar(text, spec)
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Poly:
     """Parse a polynomial literal such as "t^3+a*t+1" over F_q."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty polynomial literal")
-    coeffs: dict[int, int] = {}
-    # split on + and - at depth zero of parentheses
-    terms: list[str] = []
-    depth, cur = 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip():
-            terms.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append(cur)
-    for term in terms:
-        term = term.strip()
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        if "t" in term:
-            left, _, right = term.partition("t")
-            left = left.strip().rstrip("*").strip()
-            exp = 1
-            right = right.strip()
-            if right.startswith("^"):
-                exp = int(right[1:])
-            elif right:
-                raise ParseError(f"bad polynomial term {term!r}")
-        else:
-            left, exp = term, 0
-        left = left.strip()
-        if left.startswith("(") and left.endswith(")"):
-            left = left[1:-1]
-        scalar = _parse_fq_scalar(left, spec) if left else 1
-        if neg:
-            scalar = spec.neg(scalar)
-        coeffs[exp] = spec.add(coeffs.get(exp, 0), scalar)
-    deg = max(coeffs) if coeffs else 0
-    return Poly.from_indices(spec, [coeffs.get(i, 0) for i in range(deg + 1)])
+    return Poly.from_indices(spec, _parse_sum(text, "t", _scalar_coeff, spec))
+
+
+def _sum_str(terms: list[str], var: str) -> str:
+    """Print the sum in ``var`` of the coefficient strings ``terms``,
+    ascending powers, as ``_parse_sum`` reads it: highest power first, no
+    "0" terms, and a coefficient that is a sum in parentheses."""
+    parts = []
+    for e, c in reversed(list(enumerate(terms))):
+        if c == "0":
+            continue
+        power = var if e == 1 else f"{var}^{e}"
+        parts.append(c if e == 0 else power if c == "1"
+                     else f"({c})*{power}" if "+" in c else f"{c}*{power}")
+    return "+".join(parts) or "0"
 
 
 def _scalar_str(a: int, spec: FieldSpec) -> str:
-    coords = spec.coords(a)
-    parts = []
-    for e in range(spec.f - 1, -1, -1):
-        c = coords[e]
-        if not c:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            gen = "a" if e == 1 else f"a^{e}"
-            parts.append(gen if c == 1 else f"{c}*{gen}")
-    return "+".join(parts) if parts else "0"
+    return _sum_str([str(c) for c in spec.coords(a)], "a")
 
 
 def poly_str(x: Poly) -> str:
-    if x.is_zero():
-        return "0"
-    spec = x.spec
-    parts = []
-    for e in range(x.degree(), -1, -1):
-        a = x.coeff_index(e)
-        if a == 0:
-            continue
-        s = _scalar_str(a, spec)
-        if e == 0:
-            parts.append(s)
-            continue
-        base = "t" if e == 1 else f"t^{e}"
-        if s == "1":
-            parts.append(base)
-        elif "+" in s:
-            parts.append(f"({s})*{base}")
-        else:
-            parts.append(f"{s}*{base}")
-    return "+".join(parts)
+    return _sum_str([_scalar_str(a, x.spec) for a in x.coeff_indices()], "t")

@@ -8,8 +8,8 @@ D = deg v).  One step (``_step``) of one dynamic program over the top index
 serves every carrier and the generic rings of ``harmonic.mht_sum``.
 ``_top_terms`` walks it over a tuple's suffixes, or over the sub-multisets
 of a multiset for ``orderings_sum``, growing each node's table of prefix
-sums with D; the zeta carriers keep those tables in ``_trunc_cache`` for
-the process.
+sums with D; the tables are keyed by the ring, and the zeta carriers keep
+theirs in ``_trunc_cache`` for the process.
 """
 
 from __future__ import annotations
@@ -55,12 +55,16 @@ class Composition:
 
 
 def parse_composition(text: str) -> Composition:
+    """Parse "(1,2)", "1,2" or "(1,)": comma-separated integers, with at
+    most one trailing comma and no empty entry."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ParseError(f"empty composition literal: {text!r}")
+    parts = s.split(",")
+    if len(parts) > 1 and not parts[-1].strip():
+        parts.pop()
+    if not all(p.strip() for p in parts):
+        raise ParseError(f"empty entry in composition literal: {text!r}")
     try:
         return Composition(tuple(int(p) for p in parts))
     except ValueError as exc:
@@ -88,18 +92,21 @@ class StabilizationReport:
     D: int
 
 
+class _Ring(SimpleNamespace):
+    # hashed by identity, as it keys its tables in ``_top_terms``
+    __hash__ = object.__hash__
+
+
 @cache
 def exact_ring(spec: FieldSpec) -> SimpleNamespace:
     """F_q(t), on LFrac elements, in the zero/one/add/mul/scale ring
-    protocol; cached, so shared."""
+    protocol; cached, so one ring per field."""
     zero, one = LFrac.zero(spec), LFrac.one(spec)
-    return SimpleNamespace(zero=lambda: zero, one=lambda: one,
-                           add=operator.add, mul=operator.mul,
-                           scale=lambda a, c: a.scale_int(c))
+    return _Ring(zero=lambda: zero, one=lambda: one, add=operator.add,
+                 mul=operator.mul, scale=lambda a, c: a.scale_int(c))
 
 
-def _top_terms(entries, D, star, ring, h, tables, carrier=None,
-               orderings=None):
+def _top_terms(entries, D, star, ring, h, tables, orderings=None):
     """The prefix sums P[0..L], L >= D, of the top terms of a node: T[d]
     sums over its chains with top index exactly d the product of the table
     values h(d_i, e_i), and P[d] = T[0] + ... + T[d - 1], so P[D] is the
@@ -114,7 +121,7 @@ def _top_terms(entries, D, star, ring, h, tables, carrier=None,
     ``_step``: a tuple's one pick is its first entry, a multiset's are its
     distinct values, and a signed set's i-th entry has eps = (-1)^i.
 
-    T of a node does not depend on D, so ``tables`` maps (carrier, star,
+    T of a node does not depend on D, so ``tables`` maps (ring, star,
     (orderings, entries)) to one table P per node, which a larger D only
     lengthens: a node's new cells d = L..D-1 need only the tables of the
     nodes below it, grown first, so the walk down stops at every table that
@@ -122,13 +129,13 @@ def _top_terms(entries, D, star, ring, h, tables, carrier=None,
     mutate what this returns.
     """
     entries = tuple(sorted(entries) if orderings is False else entries)
-    return _grow((orderings, entries), D, star, ring, h, tables, carrier, {})
+    return _grow((orderings, entries), D, star, ring, h, tables, {})
 
 
-def _grow(node, D, star, ring, h, tables, carrier, rows):
+def _grow(node, D, star, ring, h, tables, rows):
     """The table of ``node`` in ``_top_terms``, grown to reach D; ``rows``
     maps (e, L) to [h(L, e), ..., h(D - 1, e)], built once per walk."""
-    key = (carrier, star, node)
+    key = (ring, star, node)
     sums = tables.get(key) or [ring.zero()]
     if len(sums) > D:
         return sums
@@ -142,8 +149,8 @@ def _grow(node, D, star, ring, h, tables, carrier, rows):
         if row is None:
             row = rows[e, L] = [h(d, e) for d in range(L, D)]
         rest = entries[:i] + entries[i + 1:]
-        pick = _step(_grow((kind, rest), D, star, ring, h, tables, carrier,
-                           rows), row, star, ring, L) if rest else row
+        pick = _step(_grow((kind, rest), D, star, ring, h, tables, rows),
+                     row, star, ring, L) if rest else row
         if kind and i % 2:
             pick = list(map(ring.neg, pick))
         top = pick if top is None else list(map(ring.add, top, pick))
@@ -176,11 +183,12 @@ def orderings_sum(entries, D, star, ring, h, signed=False, memo=None):
     ``_top_terms``), by one DP over its sub-multisets rather than one chain
     sum per ordering; memo as in ``chain_sum``."""
     return _top_terms(entries, D, star, ring, h,
-                      {} if memo is None else memo, None, signed)[D]
+                      {} if memo is None else memo, signed)[D]
 
 
-# (carrier, star, (None, suffix)) -> the suffix's table in ``_top_terms``;
-# the carrier is the FieldSpec for F_q(t) and the ResidueRing for A/(v^N)
+# (ring, star, (None, suffix)) -> the suffix's table in ``_top_terms``; the
+# ring is ``exact_ring(spec)`` for F_q(t) and the ResidueRing for A/(v^N),
+# one object each
 _trunc_cache: dict[tuple, list] = {}
 
 
@@ -188,7 +196,7 @@ def _truncated_frac(D: int, s: Composition, star: bool,
                     spec: FieldSpec) -> LFrac:
     """The truncated value as an LFrac: P[D] of the table of s.entries."""
     return _top_terms(s.entries, D, star, exact_ring(spec),
-                      partial(_exact_frac, spec), _trunc_cache, spec)[D]
+                      partial(_exact_frac, spec), _trunc_cache)[D]
 
 
 def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> RationalFn:
@@ -226,7 +234,7 @@ def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
     D = min(cfg.D, exact_bound(v, N))
     sums = _top_terms(s.entries, D, cfg.star, ring,
                       lambda d, k: _residue_sum(spec, d, k, v, N),
-                      _trunc_cache, ring)
+                      _trunc_cache)
     # the least level from which the partial sums stay at P[D]
     stable_from = D
     while stable_from > 1 and sums[stable_from - 1] == sums[D]:

@@ -8,8 +8,7 @@ in any order, star and strict, at every precision N."""
 import operator
 import random
 from fractions import Fraction
-from functools import partial
-from types import SimpleNamespace
+from functools import cache, partial
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -86,8 +85,8 @@ def test_shared_memo_matches_a_fresh_dp(carrier, seed, star, factors):
         assert canon(chain_sum(f, D, star, ring, h, tables)) == \
             canon(chain_sum(f, D, star, ring, h)), f
     # every stored suffix holds its own fresh table: nothing was mutated
-    for (_, key_star, (kind, suffix)), sums in tables.items():
-        assert key_star == star and kind is None
+    for (key_ring, key_star, (kind, suffix)), sums in tables.items():
+        assert key_ring is ring and key_star == star and kind is None
         assert [canon(x) for x in sums] == table(suffix, {}), suffix
 
 
@@ -95,11 +94,11 @@ def test_memo_holds_every_suffix_once():
     ring, D, h = _carrier("zmod", 0)
     tables = {}
     _top_terms((1, 2, 3), D, False, ring, h, tables)
-    assert set(tables) == {(None, False, (None, s))
+    assert set(tables) == {(ring, False, (None, s))
                            for s in [(3,), (2, 3), (1, 2, 3)]}
     before = dict(tables)
     _top_terms((4, 2, 3), D, False, ring, h, tables)
-    assert set(tables) == {(None, False, (None, s))
+    assert set(tables) == {(ring, False, (None, s))
                            for s in [(3,), (2, 3), (1, 2, 3), (4, 2, 3)]}
     assert all(tables[k] is before[k] for k in before)  # reused, not rebuilt
 
@@ -154,14 +153,23 @@ def compositions_and_levels(draw, levels):
              draw(st.sampled_from([None, False, True]))) for level in asked]
 
 
+class _SignedRing:
+    """A carrier ring given neg, for the signed sums."""
+
+    def __init__(self, ring):
+        self.zero, self.add, self.mul = ring.zero, ring.add, ring.mul
+        self.neg = operator.neg
+
+
+@cache
 def _ring_and_table(spec, v, N):
-    """The carrier ring, given neg for the signed sums, and its table."""
+    """The carrier ring, given neg, and its table; one ring per carrier,
+    since the ring keys the tables of a store."""
     if v is None:
         ring, h = exact_ring(spec), partial(_exact_frac, spec)
     else:
         ring, h = ResidueRing(v, N), _residue_table(spec, v, N)
-    return SimpleNamespace(zero=ring.zero, add=ring.add, mul=ring.mul,
-                           neg=operator.neg), h
+    return _SignedRing(ring), h
 
 
 def _fresh(spec, v, entries, D, N, star, kind):
@@ -169,7 +177,7 @@ def _fresh(spec, v, entries, D, N, star, kind):
     level from which the partial sums stay at the value (None for F_q(t),
     whose value is compared normalized, and for the orderings sums)."""
     ring, h = _ring_and_table(spec, v, N)
-    sums = _top_terms(entries, D, star, ring, h, {}, None, kind)[:D + 1]
+    sums = _top_terms(entries, D, star, ring, h, {}, kind)[:D + 1]
     if v is None:
         return sums[D].to_ratfn(), None
     if kind is not None:

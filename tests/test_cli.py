@@ -153,6 +153,25 @@ def test_exit_code_2_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--tuple", "(1,2)", "--v", "+t^2+t+1"],
+    ["compute", "--tuple", "(1,2)", "--v", "t-"],
+    ["compute", "--tuple", "(1,2)", "--v", "t++1"],
+    ["compute", "--tuple", "(1,2)", "--v", "t+"],
+    ["verify", "--family", "thm3", "--pairs", "(1:3),(2,1)", "--evaluator",
+     "vadic", "--v", "t", "--N", "2"],
+    ["compute", "--tuple", "1,,2", "--D", "2"],
+    ["primes", "--q", "4", "--modulus", "x^2++x+1", "--degree-max", "1"],
+    ["primes", "--q", "5", "--modulus", "x+1", "--degree-max", "1"],
+    ["primes", "--q", "4", "--modulus", "x^2+1;q=9", "--degree-max", "1"],
+    ["primes", "--q", "4", "--modulus", "", "--degree-max", "1"]])
+def test_malformed_literals_exit_2(capsys, argv):
+    """Each literal here is malformed, or a modulus that the field would
+    not use: refused, not misread or dropped."""
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_vadic_partial_sum_never_passes(capsys):
     # D below N*deg(v)+1 leaves an empty or partial sum: refused outright
     code = main(["verify", "--family", "thm2", "--tuple", "(1,2,4)",

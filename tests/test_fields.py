@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmzv import FieldSpec
-from ffmzv.errors import DivisionByZero, InvalidFieldSpec
+from ffmzv.errors import DivisionByZero, InvalidFieldSpec, ParseError
+from ffmzv.poly import irreducible_polys
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -18,6 +19,34 @@ def test_parse_and_spec_string_round_trip():
         spec = FieldSpec.parse(text)
         again = FieldSpec.parse(spec.spec_string())
         assert again == spec
+    # every monic irreducible modulus of degree 2-3 over F_2 and F_3
+    for p in (2, 3):
+        for f in (2, 3):
+            for m in irreducible_polys(FieldSpec(p), f):
+                spec = FieldSpec(p, f, m.coeff_indices())
+                assert FieldSpec.parse(spec.spec_string()) == spec
+
+
+def test_modulus_strings():
+    for spec, text in ((FieldSpec.parse("q=27"), "x^3+2*x+1"),
+                       (FieldSpec.parse("q=25"), "x^2+2"),
+                       (FieldSpec(5, 2, (2, 4, 1)), "x^2+4*x+2"),
+                       (FieldSpec.parse("q=9;modulus=x^2+x+2"), "x^2+x+2"),
+                       (FieldSpec.parse("q=8;modulus=x^3+x^2+1"),
+                        "x^3+x^2+1")):
+        assert spec.modulus_string() == text
+
+
+@pytest.mark.parametrize("text", [f"q=4;modulus={m}" for m in (
+    "x^2++x+1", "+x^2+x+1", "x^2+x+1-", "x^2+x+", "(1)*x^2+x+1", "x^2+x+()",
+    "x^\u0662+x+1", "x^2+x*+1", "x^2+xx+1", "")] + [
+    "q=5;modulus=x+1", "q=4;modulus=x^2+1;q=9", "q=9;q=4",
+    "q=4;modulus=x^2+x+1;modulus=x^2+x+1", "q=4;m=x", "q=4;x^2", "modulus=x"])
+def test_malformed_field_specs_are_refused(text):
+    """A malformed modulus, a modulus for a prime field, a repeated or
+    unknown key, or no q."""
+    with pytest.raises(ParseError):
+        FieldSpec.parse(text)
 
 
 def test_default_moduli():

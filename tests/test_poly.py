@@ -5,11 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from ffmzv import (FieldSpec, Poly, ResidueRing, is_irreducible, monic_polys,
                    parse_poly, poly_ext_gcd, poly_gcd)
+from ffmzv.errors import ParseError
 from ffmzv.poly import irreducible_polys, poly_str
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
 F4 = FieldSpec.parse("q=4")
+F8 = FieldSpec.parse("q=8")
+F9 = FieldSpec.parse("q=9;modulus=x^2+1")
+F27 = FieldSpec.parse("q=27")
 
 
 def rand_poly(spec, data, max_deg=5):
@@ -30,10 +34,32 @@ def test_parse_and_str_round_trip_examples():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F3, F4]), st.data())
+@given(st.sampled_from([F2, F3, F4, F8, F9, F27]), st.data())
 def test_str_parse_round_trip(spec, data):
     x = rand_poly(spec, data)
     assert parse_poly(poly_str(x), spec) == x
+
+
+def test_printed_coefficients():
+    """A coefficient that is a sum prints in parentheses, a power of the
+    generator as a^k, and each string parses back."""
+    for spec, coeffs, text in (
+            (F4, [1, 2, 3], "(a+1)*t^2+a*t+1"),
+            (F9, [7, 6, 5, 3], "a*t^3+(a+2)*t^2+2*a*t+2*a+1"),
+            (F8, [4, 0, 0, 5, 6], "(a^2+a)*t^4+(a^2+1)*t^3+a^2"),
+            (F27, [18, 0, 20, 11], "(a^2+2)*t^3+(2*a^2+2)*t^2+2*a^2")):
+        x = Poly.from_indices(spec, coeffs)
+        assert poly_str(x) == text
+        assert parse_poly(text, spec) == x
+
+
+@pytest.mark.parametrize("text", [
+    "-", "()", "t^2-", "--t", "t^1_0", "", "+t", "t+", "t++1", "t^",
+    "t^\u0662", "2**t", "(a+1*t", "a+1)*t", "(a+)*t", "a^2*t", "2* t",
+    "t ^2"])
+def test_parse_poly_refuses_malformed_literals(text):
+    with pytest.raises(ParseError):
+        parse_poly(text, F4)
 
 
 @settings(max_examples=60, deadline=None)
