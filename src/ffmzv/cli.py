@@ -18,7 +18,8 @@ from .errors import FFMzvError, ParseError
 from .fields import FieldSpec, is_prime
 from .harmonic import (GFRing, RationalRing, TruncatedPolyRing, ZModRing,
                        check_thmC, check_thmD, random_instance)
-from .poly import Poly, irreducible_polys, is_irreducible, parse_poly
+from .poly import (Poly, irreducible_polys, is_irreducible, parse_int,
+                   parse_poly)
 from .relations import (Finite, Thm3Config, TruncatedExact, Vadic,
                         evaluate_relation, gen_thm2, gen_thm3, gen_thmA,
                         gen_thmB)
@@ -37,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, field=True):
         if field:
-            p.add_argument("--q", type=int, default=2,
+            p.add_argument("--q", type=parse_int, default=2,
                            help="field size (prime power)")
             p.add_argument("--modulus", default=None,
                            help="extension modulus, e.g. 'x^2+x+1'")
@@ -50,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True, help="composition, e.g. '(1,2)'")
     p.add_argument("--star", action="store_true")
     p.add_argument("--v", default=None, help="monic prime, e.g. 't^2+t+1'")
-    p.add_argument("--D", type=int, default=None, help="truncation bound")
-    p.add_argument("--N", type=int, default=None, help="v-adic precision")
+    p.add_argument("--D", type=parse_int, default=None, help="truncation bound")
+    p.add_argument("--N", type=parse_int, default=None, help="v-adic precision")
 
     p = sub.add_parser("verify", help="evaluate a relation family instance")
     common(p)
@@ -63,34 +64,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluator", required=True,
                    choices=("trunc", "finite", "vadic"))
     p.add_argument("--v", default=None)
-    p.add_argument("--D", type=int, default=None)
-    p.add_argument("--N", type=int, default=None,
+    p.add_argument("--D", type=parse_int, default=None)
+    p.add_argument("--N", type=parse_int, default=None,
                    help="v-adic precision (--evaluator vadic; default 4)")
 
     p = sub.add_parser("search", help="relation scan at fixed precision")
     common(p)
     p.add_argument("--v", required=True)
-    p.add_argument("--weight-max", type=int, required=True)
-    p.add_argument("--depth-max", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--weight-max", type=parse_int, required=True)
+    p.add_argument("--depth-max", type=parse_int, required=True)
+    p.add_argument("--N", type=parse_int, required=True)
     p.add_argument("--include-negatives", action="store_true")
     p.add_argument("--all-tuples", action="store_true",
                    help="drop the q-even-only filter")
 
     p = sub.add_parser("harmonic", help="random harmonic-identity checks")
     common(p, field=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.add_argument("--ring", default="zmod:12",
                    help="zmod:M | polymod:P:K | rationals | gf:Q")
-    p.add_argument("--checks", type=int, default=20)
+    p.add_argument("--checks", type=parse_int, default=20)
     p.add_argument("--doubling", action="store_true",
                    help="check the characteristic-2 doubling identity")
-    p.add_argument("--index-size", type=int, default=4)
-    p.add_argument("--magma-size", type=int, default=3)
+    p.add_argument("--index-size", type=parse_int, default=4)
+    p.add_argument("--magma-size", type=parse_int, default=3)
 
     p = sub.add_parser("primes", help="list monic irreducibles")
     common(p)
-    p.add_argument("--degree-max", type=int, required=True)
+    p.add_argument("--degree-max", type=parse_int, required=True)
 
     return parser
 
@@ -228,9 +229,9 @@ def _make_ring(text: str):
         raise ParseError(f"ring {kind!r} takes {_RING_ARITY[kind]} "
                          f"parameter(s): {text!r}")
     if kind == "zmod":
-        return ZModRing(int(params[0]))
+        return ZModRing(parse_int(params[0]))
     if kind == "polymod":
-        P, K = int(params[0]), int(params[1])
+        P, K = parse_int(params[0]), parse_int(params[1])
         if not is_prime(P):
             raise ParseError(f"polymod:P:K needs a prime P, got {P}")
         return TruncatedPolyRing(P, K)

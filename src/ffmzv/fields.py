@@ -9,15 +9,19 @@ The tables are built on the one polynomial kernel, ``poly.Poly`` over the
 prime field: the default modulus is the first monic irreducible in
 ``monic_polys`` order, an extension product is a product of coordinate
 polynomials reduced mod the modulus, and ``x_power_coords`` reads off
-x^j mod the modulus.  A prime field multiplies as ``a * b % p``.  Each
-table is built once per field, on first use.
+x^j mod the modulus.  A prime field multiplies as ``a * b % p``.  There
+is one FieldSpec per field, and each of its tables (add, neg, mul, inv,
+the x powers) is built once, on first use.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import cached_property
+
 from .errors import DivisionByZero, InvalidFieldSpec, ParseError
 from .poly import (Poly, _parse_sum, _prime_coeff, _sum_str,
-                   irreducible_polys, is_irreducible)
+                   irreducible_polys, is_irreducible, parse_int)
 
 
 def is_prime(n: int) -> bool:
@@ -50,43 +54,36 @@ class FieldSpec:
     """Description of F_q on a fixed polynomial basis over F_p.
 
     Construction checks that p is prime and that the modulus is a monic
-    irreducible of degree f over F_p (ignored when f == 1).
+    irreducible of degree f over F_p (ignored when f == 1).  There is one
+    instance per (p, f, modulus reduced mod p): later calls return the same
+    object, so fields compare by identity and each builds its tables once.
     """
 
-    def __init__(self, p: int, f: int = 1, modulus: tuple[int, ...] | None = None):
+    _fields: dict[tuple, "FieldSpec"] = {}
+
+    def __new__(cls, p: int, f: int = 1, modulus: list | tuple | None = None):
         if not is_prime(p):
             raise InvalidFieldSpec(f"characteristic {p} is not prime")
         if f < 1:
             raise InvalidFieldSpec("extension degree must be >= 1")
         if f == 1:
             modulus = (0, 1)  # placeholder, never used
-        else:
-            prime = FieldSpec(p)
-            if modulus is None:
-                # the first in monic_polys order: constant term least significant
-                modulus = next(irreducible_polys(prime, f)).coeff_indices()
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != f + 1 or modulus[-1] != 1:
+        elif modulus is None:
+            # the first in monic_polys order: constant term least significant
+            modulus = next(irreducible_polys(cls(p), f)).coeff_indices()
+        key = (p, f, tuple(c % p for c in modulus))
+        spec = cls._fields.get(key)
+        if spec is None:
+            modulus = key[2]
+            if f > 1 and (len(modulus) != f + 1 or modulus[-1] != 1):
                 raise InvalidFieldSpec("modulus must be monic of degree f")
-            if not is_irreducible(Poly.from_indices(prime, modulus)):
+            if f > 1 and not is_irreducible(Poly.from_indices(cls(p), modulus)):
                 raise InvalidFieldSpec("modulus is not irreducible over F_p")
-        self.p = p
-        self.f = f
-        self.q = p ** f
-        self.modulus = modulus
-        self._hash = hash((p, f, modulus))
-        self._mul_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
-        self._xpow: list[tuple[int, ...]] | None = None
-
-    # -- identity / hashing -------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus))
-
-    def __hash__(self):
-        return self._hash
+            spec = super().__new__(cls)
+            spec.p, spec.f, spec.q, spec.modulus = p, f, p ** f, modulus
+            # a field stored meanwhile by another thread wins
+            spec = cls._fields.setdefault(key, spec)
+        return spec
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})" if self.f == 1 else \
@@ -108,7 +105,7 @@ class FieldSpec:
             keys[key] = val
         if "q" not in keys:
             raise ParseError("field spec must set q")
-        p, f = _split_prime_power(int(keys["q"]))
+        p, f = _split_prime_power(parse_int(keys["q"]))
         if "modulus" not in keys:
             return cls(p, f)
         if f == 1:
@@ -143,68 +140,63 @@ class FieldSpec:
         """Embed an integer via F_p."""
         return n % self.p
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: tables built once per field, on first use ---------------
 
-    def add(self, a: int, b: int) -> int:
-        p, f = self.p, self.f
-        out, w = 0, 1
-        for _ in range(f):
-            out += ((a + b) % p) * w
-            a //= p
-            b //= p
-            w *= p
-        return out
+    @cached_property
+    def _add(self) -> list[list[int]]:
+        coords = [self.coords(a) for a in range(self.q)]
+        return [[self.from_coords(map(operator.add, x, y)) for y in coords]
+                for x in coords]
 
-    def neg(self, a: int) -> int:
-        p = self.p
-        out, w = 0, 1
-        for _ in range(self.f):
-            out += (-a % p) * w
-            a //= p
-            w *= p
-        return out
+    @cached_property
+    def _neg(self) -> list[int]:
+        return [self.from_coords(-c for c in self.coords(a))
+                for a in range(self.q)]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def _modulus_poly(self) -> Poly:
-        """The modulus over F_p, in the variable t of Poly."""
-        return Poly.from_indices(FieldSpec(self.p), self.modulus)
-
-    def _build_tables(self):
+    @cached_property
+    def _mul(self) -> list[list[int]]:
         p = self.p
         if self.f == 1:
-            mul = [[a * b % p for b in range(p)] for a in range(p)]
-        else:
-            mod = self._modulus_poly()
-            elems = [Poly.from_indices(mod.spec, self.coords(a))
-                     for a in range(self.q)]
-            # the table is symmetric: compute b >= a and mirror it
-            mul = [[0] * self.q for _ in range(self.q)]
-            for a, x in enumerate(elems):
-                for b in range(a, self.q):
-                    mul[a][b] = mul[b][a] = self.from_coords(
-                        (x * elems[b] % mod).coeff_indices())
-        self._mul_table = mul
-        self._inv_table = [0] + [row.index(1) for row in mul[1:]]
+            return [[a * b % p for b in range(p)] for a in range(p)]
+        mod = Poly.from_indices(FieldSpec(p), self.modulus)  # over F_p, in t
+        elems = [Poly.from_indices(mod.spec, self.coords(a))
+                 for a in range(self.q)]
+        # the table is symmetric: compute b >= a and mirror it
+        mul = [[0] * self.q for _ in range(self.q)]
+        for a, x in enumerate(elems):
+            for b in range(a, self.q):
+                mul[a][b] = mul[b][a] = self.from_coords(
+                    (x * elems[b] % mod).coeff_indices())
+        return mul
+
+    @cached_property
+    def _inv(self) -> list[int]:
+        return [0] + [row.index(1) for row in self._mul[1:]]
+
+    @cached_property
+    def _xpow(self) -> list[tuple[int, ...]]:
+        mod = Poly.from_indices(FieldSpec(self.p), self.modulus)
+        t = Poly.t(mod.spec)
+        return [self.coords(self.from_coords((t ** i % mod).coeff_indices()))
+                for i in range(2 * self.f - 1)]
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is None:
-            self._build_tables()
-        return self._mul_table[a][b]
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero field element")
-        if self._inv_table is None:
-            self._build_tables()
-        return self._inv_table[a]
+        return self._inv[a]
 
     def x_power_coords(self, j: int) -> tuple[int, ...]:
         """Coordinates of x^j reduced mod the modulus, for 0 <= j <= 2f-2."""
-        if self._xpow is None:
-            mod = self._modulus_poly()
-            t = Poly.t(mod.spec)
-            powers = [(t ** i % mod).coeff_indices() for i in range(2 * self.f - 1)]
-            self._xpow = [self.coords(self.from_coords(c)) for c in powers]
         return self._xpow[j]

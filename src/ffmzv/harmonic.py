@@ -157,11 +157,15 @@ class RationalRing(Ring):
 
 
 class GFRing(Ring):
-    """F_q via a FieldSpec; elements are element indices."""
+    """F_q via a FieldSpec; elements are element indices, and add, neg and
+    mul are the field's own."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.char = spec.p
+        self.add = spec.add
+        self.neg = spec.neg
+        self.mul = spec.mul
 
     @property
     def name(self) -> str:
@@ -172,15 +176,6 @@ class GFRing(Ring):
 
     def one(self):
         return 1
-
-    def add(self, a, b):
-        return self.spec.add(a, b)
-
-    def neg(self, a):
-        return self.spec.neg(a)
-
-    def mul(self, a, b):
-        return self.spec.mul(a, b)
 
     def rand(self, rng: random.Random):
         return rng.randrange(self.spec.q)

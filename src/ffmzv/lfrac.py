@@ -15,39 +15,28 @@ value is exported as a canonical RationalFn.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .fields import FieldSpec
 from .poly import Poly
 from .ratfn import RationalFn
 
-_l_cache: dict[tuple[FieldSpec, int], Poly] = {}
-_l_pow_cache: dict[tuple[FieldSpec, int, int], Poly] = {}
 
-
+@cache
 def l_poly(spec: FieldSpec, d: int) -> Poly:
     """l_d = prod_{i<=d} (t^{q^i} - t); l_0 = 1."""
-    key = (spec, d)
-    hit = _l_cache.get(key)
-    if hit is not None:
-        return hit
     if d == 0:
-        out = Poly.one(spec)
-    else:
-        t = Poly.t(spec)
-        factor = t.shift(spec.q ** d - 1) - t  # t^(q^d) - t
-        out = l_poly(spec, d - 1) * factor
-    _l_cache[key] = out
-    return out
+        return Poly.one(spec)
+    t = Poly.t(spec)
+    factor = t.shift(spec.q ** d - 1) - t  # t^(q^d) - t
+    return l_poly(spec, d - 1) * factor
 
 
+@cache
 def l_power(spec: FieldSpec, d: int, e: int) -> Poly:
     if e == 0 or d == 0:
         return Poly.one(spec)
-    key = (spec, d, e)
-    hit = _l_pow_cache.get(key)
-    if hit is None:
-        hit = l_poly(spec, d) * l_power(spec, d, e - 1) if e > 1 else l_poly(spec, d)
-        _l_pow_cache[key] = hit
-    return hit
+    return l_poly(spec, d) * l_power(spec, d, e - 1) if e > 1 else l_poly(spec, d)
 
 
 class LFrac:
@@ -117,10 +106,8 @@ class LFrac:
         return LFrac(self.spec, self.num * other.num, exps)
 
     def scale(self, a: int) -> "LFrac":
+        """Multiply by the F_q element with index a."""
         return LFrac(self.spec, self.num.scale(a), self.exps)
-
-    def scale_int(self, c: int) -> "LFrac":
-        return self.scale(self.spec.from_int(c))
 
     def to_ratfn(self) -> RationalFn:
         den = Poly.one(self.spec)

@@ -37,6 +37,7 @@ p >= 131, are reduced with ``np.frombuffer(...) % p``.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,7 +47,6 @@ from .errors import DivisionByZero, InvalidFieldSpec, ParseError
 if TYPE_CHECKING:
     from .fields import FieldSpec
 
-_irred_cache: dict["Poly", bool] = {}
 _UINT = {s: np.dtype(f"<u{s}") for s in (1, 2, 4, 8)}  # little-endian slots
 
 
@@ -65,7 +65,6 @@ class _Layout:
     def __init__(self, spec: FieldSpec):
         p, f = spec.p, spec.f
         self.spec = spec
-        self.key = hash(spec)
         self.p, self.f = p, f
         self.w = _width(2 * p - 1)
         self.size = f * self.w  # bytes per coefficient
@@ -124,14 +123,7 @@ class _Layout:
         return int.from_bytes(buf, "little")
 
 
-_layouts: dict[FieldSpec, _Layout] = {}
-
-
-def _layout(spec: FieldSpec) -> _Layout:
-    lay = _layouts.get(spec)
-    if lay is None:
-        lay = _layouts[spec] = _Layout(spec)
-    return lay
+_layout = cache(_Layout)  # one layout per field
 
 
 def _kron(lay: _Layout, a: bytes, b: bytes) -> bytes:
@@ -239,11 +231,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        # one layout per field: equal specs share it
-        return self._lay is other._lay and self.data == other.data
+        return self.spec is other.spec and self.data == other.data
 
     def __hash__(self):
-        return hash((self._lay.key, self.data))
+        return hash((self.spec, self.data))
 
     def __repr__(self):
         return f"Poly({poly_str(self)!r})"
@@ -432,28 +423,15 @@ def monic_polys(spec: FieldSpec, d: int):
         yield Poly(lay, lay.encode(coeffs))
 
 
+@cache
 def is_irreducible(v: Poly) -> bool:
-    """Irreducibility by trial division against monic divisors of degree <= deg/2.
-
-    Results are cached; the cache is idempotent (pure recomputation).
-    """
-    hit = _irred_cache.get(v)
-    if hit is not None:
-        return hit
-    d = v.degree()
-    if d < 1:
-        res = False
-    else:
-        res = True
-        for e in range(1, d // 2 + 1):
-            for w in monic_polys(v.spec, e):
-                if (v % w).is_zero():
-                    res = False
-                    break
-            if not res:
-                break
-    _irred_cache[v] = res
-    return res
+    """Irreducibility by trial division against monic divisors of degree
+    <= deg/2; cached."""
+    for e in range(1, v.degree() // 2 + 1):
+        for w in monic_polys(v.spec, e):
+            if (v % w).is_zero():
+                return False
+    return v.degree() >= 1
 
 
 def irreducible_polys(spec: FieldSpec, degree: int):
@@ -501,6 +479,15 @@ def _parse_sum(text: str, var: str, coeff, spec: FieldSpec) -> list[int]:
     if depth:
         raise ParseError(f"unbalanced parentheses in {text!r}")
     return [out.get(e, 0) for e in range(max(out) + 1)]
+
+
+def parse_int(text: str) -> int:
+    """An optional - and ASCII digits, with whitespace around them; ``int``
+    alone would also take underscores, a + and non-ASCII digits."""
+    m = re.fullmatch(r"-?[0-9]+", text.strip())
+    if m is None:
+        raise ParseError(f"bad integer {text!r}")
+    return int(m[0])
 
 
 def _prime_coeff(text: str, spec: FieldSpec) -> int:

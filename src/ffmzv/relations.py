@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
-from .errors import InvalidEvaluator, InvalidFamilyInput
+from .errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from .fields import FieldSpec
 from .poly import Poly
 from .power_sums import default_vanish_cap, vanish_degree
@@ -155,12 +155,18 @@ def doubling_identity_generators(pairs) -> list[tuple]:
 
 @dataclass(frozen=True)
 class FormalRelation:
-    """F_p-linear combination of products of zeta values, canonically
-    reduced: factors sorted within each term, like terms combined,
-    zero-coefficient and identity factors dropped."""
-    terms: tuple  # of (coeff in [1, p-1], factor tuple of entry-tuples)
+    """F_q-linear combination of products of zeta values.  Each coefficient
+    is the index of a nonzero F_q element; ``build`` reduces integer
+    coefficients into F_p, sorts the factors within each term, combines
+    like terms and drops zero-coefficient and identity factors."""
+    terms: tuple  # of (coeff in [1, q-1], factor tuple of entry-tuples)
     tag: str
     spec: FieldSpec
+
+    def __post_init__(self):
+        for coeff, _ in self.terms:
+            if not 0 < coeff < self.spec.q:
+                raise ValueError(f"coefficient {coeff} is outside [1, q-1]")
 
     @staticmethod
     def build(raw_terms, tag: str, spec: FieldSpec) -> "FormalRelation":
@@ -193,7 +199,10 @@ class FormalRelation:
                 continue
             obj = json.loads(line)
             tag = obj.get("tag", tag)
-            raw.append((obj["coeff"][0], tuple(tuple(f) for f in obj["factors"])))
+            coeff = obj["coeff"][0]
+            if not isinstance(coeff, int) or not 0 <= coeff < spec.p:
+                raise ParseError(f"coefficient {coeff} outside [0, {spec.p})")
+            raw.append((coeff, tuple(tuple(f) for f in obj["factors"])))
         return FormalRelation.build(raw, tag, spec)
 
 
@@ -287,12 +296,10 @@ def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
     if r <= 1:
         return False
     dv = v.degree()
-    bound: dict[int, int] = {}
 
+    @cache
     def L(m: int) -> int:
-        if m not in bound:
-            bound[m] = vanish_degree(m, spec, default_vanish_cap(m, spec))
-        return bound[m]
+        return vanish_degree(m, spec, default_vanish_cap(m, spec))
 
     neg = [i for i in range(1, r + 1) if entries[i - 1] < 0]
     for i in neg:
@@ -314,16 +321,12 @@ def sum_of_products(ring, terms, value):
     ring with the zero/one/add/mul/scale protocol; value is called once per
     distinct factor, and an empty product is one."""
     values = {}
-
-    def cached(factor):
-        x = values.get(factor)
-        if x is None:
-            x = values[factor] = value(factor)
-        return x
-
     acc = ring.zero()
     for coeff, factors in terms:
-        prod = reduce(ring.mul, map(cached, factors)) if factors else ring.one()
+        for factor in factors:
+            if factor not in values:
+                values[factor] = value(factor)
+        prod = reduce(ring.mul, map(values.get, factors)) if factors else ring.one()
         acc = ring.add(acc, ring.scale(prod, coeff))
     return acc
 

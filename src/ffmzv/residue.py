@@ -83,7 +83,8 @@ class ResidueRing:
 
     @staticmethod
     def scale(a: "ResidueElem", c: int) -> "ResidueElem":
-        return a.scale_int(c)
+        """Multiply by the F_q element with index c."""
+        return ResidueElem(a.ring, a.rep.scale(c))
 
     def image(self, x: Poly) -> "ResidueElem":
         """The image of a polynomial."""

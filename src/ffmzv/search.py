@@ -162,8 +162,7 @@ def _relation_pairs(rel: FormalRelation, index: dict[tuple, int],
             raise ScopeMismatch("only single-factor relations live in the scan space")
         if (j := index.get(factors[0])) is None:
             raise ScopeMismatch(f"tuple {factors[0]} outside scope")
-        c = coeff % spec.q
-        pairs[j] = spec.add(pairs[j], c) if j in pairs else c
+        pairs[j] = spec.add(pairs[j], coeff) if j in pairs else coeff
     return list(pairs.items())
 
 

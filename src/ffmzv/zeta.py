@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from .errors import ParseError
 from .fields import FieldSpec
 from .lfrac import LFrac
-from .poly import Poly
+from .poly import Poly, parse_int
 from .power_sums import _exact_frac, _residue_sum
 from .ratfn import RationalFn
 from .residue import ResidueElem, ResidueRing
@@ -55,8 +55,8 @@ class Composition:
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse "(1,2)", "1,2" or "(1,)": comma-separated integers, with at
-    most one trailing comma and no empty entry."""
+    """Parse "(1,2)", "1,2" or "(1,)": comma-separated integers (``parse_int``),
+    with at most one trailing comma and no empty entry."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
@@ -66,8 +66,8 @@ def parse_composition(text: str) -> Composition:
     if not all(p.strip() for p in parts):
         raise ParseError(f"empty entry in composition literal: {text!r}")
     try:
-        return Composition(tuple(int(p) for p in parts))
-    except ValueError as exc:
+        return Composition(tuple(parse_int(p) for p in parts))
+    except ParseError as exc:
         raise ParseError(f"bad composition literal: {text!r}") from exc
 
 
@@ -103,7 +103,7 @@ def exact_ring(spec: FieldSpec) -> SimpleNamespace:
     protocol; cached, so one ring per field."""
     zero, one = LFrac.zero(spec), LFrac.one(spec)
     return _Ring(zero=lambda: zero, one=lambda: one, add=operator.add,
-                 mul=operator.mul, scale=lambda a, c: a.scale_int(c))
+                 mul=operator.mul, scale=LFrac.scale)
 
 
 def _top_terms(entries, D, star, ring, h, tables, orderings=None):

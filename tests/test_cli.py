@@ -172,6 +172,27 @@ def test_malformed_literals_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--tuple", "(1_0,2)", "--D", "2"],
+    ["compute", "--tuple", "(\u0661,2)", "--D", "2"],
+    ["compute", "--tuple", "(+1,2)", "--D", "2"],
+    ["compute", "--q", "1_6", "--tuple", "(1,2)", "--D", "2"],
+    ["compute", "--tuple", "(1,2)", "--D", "\u0662"],
+    ["compute", "--tuple", "(1,2)", "--D", "+2"],
+    ["harmonic", "--ring", "zmod:1_2", "--checks", "1_0"],
+    ["harmonic", "--ring", "zmod:1_2"],
+    ["harmonic", "--checks", "1_0"],
+    ["harmonic", "--ring", "polymod:2:+4"],
+    ["harmonic", "--ring", "gf:+4"],
+    ["search", "--v", "t", "--weight-max", "4", "--depth-max", "3",
+     "--N", "\uff12"]])
+def test_numbers_other_than_ascii_digits_exit_2(capsys, argv):
+    """A number is an optional - and ASCII digits: no underscore, no +
+    and no other digits, each of which ``int`` would take."""
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_vadic_partial_sum_never_passes(capsys):
     # D below N*deg(v)+1 leaves an empty or partial sum: refused outright
     code = main(["verify", "--family", "thm2", "--tuple", "(1,2,4)",

@@ -157,3 +157,42 @@ def test_field_axioms(spec, data):
 def test_coords_round_trip(spec, a):
     a %= spec.q
     assert spec.from_coords(spec.coords(a)) == a
+
+
+def test_one_object_per_field():
+    """Equal fields are one object, however they are named, so they
+    compare and hash by identity and share their tables."""
+    assert FieldSpec.parse("q=9") is FieldSpec(3, 2) is FieldSpec(3, 2, (1, 0, 1))
+    assert FieldSpec(3, 2, [4, 3, 1]) is FieldSpec(3, 2)  # reduced mod p
+    assert FieldSpec.parse("q=3") is FieldSpec(3) is FieldSpec(3, 1, (5, 7))
+    assert FieldSpec.parse("q=9;modulus=x^2+x+2") is not FieldSpec(3, 2)
+    assert F4.mul(2, 3) == 1 and FieldSpec(2, 2)._mul is F4._mul
+
+
+@pytest.mark.parametrize("args", [(4,), (3, 0), (3, 2, (2, 0, 1)),
+                                  (3, 2, (1, 1)), (3, 2, (1, 0, 2)),
+                                  (2, 3, (1, 1, 1, 1))])
+def test_invalid_field_raises_and_registers_nothing(args):
+    FieldSpec(2)  # the prime fields that a check may build
+    FieldSpec(3)
+    before = dict(FieldSpec._fields)
+    with pytest.raises(InvalidFieldSpec):
+        FieldSpec(*args)
+    assert FieldSpec._fields == before
+
+
+def _coordinate_add(spec, a, b):
+    return spec.from_coords((x + y) % spec.p
+                            for x, y in zip(spec.coords(a), spec.coords(b)))
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.parse(f"q={q}") for q in
+                                  (2, 3, 4, 5, 8, 9, 25, 27)]
+                         + [FieldSpec.parse("q=9;modulus=x^2+x+2")], ids=repr)
+def test_add_and_neg_tables_are_coordinatewise(spec):
+    for a in range(spec.q):
+        assert spec.neg(a) == spec.from_coords(
+            -x % spec.p for x in spec.coords(a)), a
+        for b in range(spec.q):
+            assert spec.add(a, b) == _coordinate_add(spec, a, b), (a, b)
+            assert spec.sub(a, b) == spec.add(a, spec.neg(b)), (a, b)

@@ -33,6 +33,18 @@ def test_parse_and_str_round_trip_examples():
         assert parse_poly(str(x), spec) == x
 
 
+def test_separately_parsed_fields_give_equal_polys():
+    """A field parsed twice is one object, so its polynomials compare
+    equal and hash alike; another field's do not."""
+    for text, poly in (("q=9", "a*t^2+(a+2)*t+1"), ("q=2", "t^3+t+1"),
+                       ("q=9;modulus=x^2+x+2", "2*a*t+a")):
+        x = parse_poly(poly, FieldSpec.parse(text))
+        y = parse_poly(poly, FieldSpec.parse(text))
+        assert x == y and hash(x) == hash(y) and {x: 1}[y] == 1
+    assert parse_poly("t+a", FieldSpec.parse("q=9")) != parse_poly(
+        "t+a", FieldSpec.parse("q=9;modulus=x^2+x+2"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([F2, F3, F4, F8, F9, F27]), st.data())
 def test_str_parse_round_trip(spec, data):

@@ -144,6 +144,16 @@ def test_vanish_degree():
         vanish_degree(0, F2, 4)
 
 
+def test_vanish_degree_below_the_carlitz_cap():
+    """At q = 4, m = 10 has digit sum 4, so Carlitz's cap
+    floor(4/3) + 1 = 2 would allow degree 1, yet S_1(-10) already
+    vanishes: the largest degree with S_d(-10) != 0 is 0.  The enumeration
+    finds it, where a closed form from the cap would say 1."""
+    F4 = FieldSpec.parse("q=4")
+    assert default_vanish_cap(10, F4) == 2
+    assert vanish_degree(10, F4, 2) == vanish_degree(10, F4, 4) == 0
+
+
 def test_vanish_cap_matches_a_large_cap():
     # the digit-sum cap certifies the same degree as a generous one
     F4 = FieldSpec.parse("q=4")

@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -10,7 +11,9 @@ from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
                    RationalRing, ResidueRing, is_trivial_zero, parse_poly)
-from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput
+from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput, ParseError
+from ffmzv.poly import Poly
+from ffmzv.ratfn import RationalFn
 from ffmzv.relations import _reorders, sum_of_products
 
 F2 = FieldSpec.parse("q=2")
@@ -132,6 +135,46 @@ def test_json_round_trip():
     text = rel.to_json_lines()
     back = FormalRelation.from_json_lines(text, F2)
     assert back.terms == rel.terms and back.tag == rel.tag
+
+
+@pytest.mark.parametrize("evaluator", [
+    TruncatedExact(2), Finite(parse_poly("t+a", F4)),
+    Vadic(parse_poly("t", F4), 2)], ids=lambda e: type(e).__name__)
+def test_relation_coefficients_are_fq_elements(evaluator):
+    """A coefficient is an F_q element index, as ``find_relations`` writes
+    it: at q = 4, coefficient 2 is a and 3 is a+1, not 0 and 1 mod 2."""
+    def value(c):
+        rel = FormalRelation(terms=((c, ((1,),)),), tag="custom", spec=F4)
+        return evaluate_relation(rel, evaluator)
+
+    one, verdict = value(1)
+    assert not verdict.passed
+    for c in (2, 3):
+        got, verdict = value(c)
+        assert not verdict.passed, c
+        if isinstance(evaluator, TruncatedExact):
+            want = one * RationalFn.from_poly(Poly.const(F4, c))
+        else:
+            want = one.ring.image(one.rep * Poly.const(F4, c))
+        assert got == want, c
+
+
+@pytest.mark.parametrize("coeff", [0, 4, -1])
+def test_formal_relation_refuses_coefficients_outside_fq(coeff):
+    with pytest.raises(ValueError):
+        FormalRelation(terms=((coeff, ((1,),)),), tag="custom", spec=F4)
+
+
+@pytest.mark.parametrize("coeff", [2, 3, -1, 1.0, "1"])
+def test_json_lines_refuse_coefficients_outside_fp(coeff):
+    """JSON coefficients are integers mod p, which build combines: an F_q
+    index past F_p would be misread, so it is refused, not dropped."""
+    line = json.dumps({"coeff": [coeff], "factors": [[1]], "tag": "custom"})
+    with pytest.raises(ParseError):
+        FormalRelation.from_json_lines(line, F4)
+    back = FormalRelation.from_json_lines(line.replace(
+        json.dumps([coeff]), "[1]"), F4)
+    assert back.terms == ((1, ((1,),)),)
 
 
 def test_is_trivial_zero():

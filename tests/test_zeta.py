@@ -35,6 +35,19 @@ def test_parse_composition():
         parse_composition("(1,x)")
 
 
+@pytest.mark.parametrize("text", ["(1_0,2)", "(\u0661,2)", "(+1,2)",
+                                  "(1,- 2)", "(1,--2)", "(1,2.0)"])
+def test_parse_composition_reads_only_ascii_integers(text):
+    with pytest.raises(ParseError):
+        parse_composition(text)
+
+
+@pytest.mark.parametrize("q", ["1_6", "+4", "\u0664", "4.0", "-4"])
+def test_field_size_reads_only_ascii_integers(q):
+    with pytest.raises(ValueError):
+        FieldSpec.parse(f"q={q}")
+
+
 def test_truncated_pinned_values():
     one = RationalFn.one(F2)
     assert truncated_mzv(1, Composition((7,)), False, F2) == one
