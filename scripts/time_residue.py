@@ -1,0 +1,100 @@
+"""Residue-layer timings of one or more checkouts of this repository.
+
+    python3 scripts/time_residue.py DIR [DIR ...]
+
+Each DIR is the root of a checkout (the directory holding src/ffmzv), for
+example one exported with ``git archive REF | tar -x -C DIR``.  For each,
+the script prints the median of 5 runs of:
+
+- ``mul``: one product in A/(v^N) at q = 2, v = t^2+t+1, N = 3, whose
+  operands have full degree 5, so the product has degree 2*N*deg(v) - 2
+  (microseconds per product, ``timeit`` in a fresh process);
+- ``inv``: one inverse mod v^N in the same ring (microseconds);
+- ``search`` at ``--v t --weight-max 5 --depth-max 3 --N 16`` and at
+  ``--v t^2+t+1 --weight-max 5 --depth-max 3 --N 7``: wall seconds of one
+  ``python -m ffmzv.cli search`` process, start-up included.
+
+Within each run the directories take turns, so drift on a shared machine
+hits them alike.  Only the public API and the CLI are used, so any two
+checkouts can be compared.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+RUNS = 5
+
+MICRO = """
+import timeit
+from ffmzv import FieldSpec, ResidueRing, parse_poly
+F = FieldSpec.parse("q=2")
+ring = ResidueRing(parse_poly("t^2+t+1", F), 3)
+a = ring.image(parse_poly("t^5+t^3+t+1", F))
+b = ring.image(parse_poly("t^5+t^4+t^2+1", F))
+n = {n}
+print(min(timeit.repeat({stmt!r}, globals=globals(), number=n, repeat=3))
+      / n * 1e6)
+"""
+
+MICROS = {"mul (us)": ("a * b", 20000), "inv (us)": ("a.inv()", 5000)}
+
+SEARCHES = {
+    "search t N=16 (s)": ["--v", "t", "--weight-max", "5", "--depth-max",
+                          "3", "--N", "16"],
+    "search t^2+t+1 N=7 (s)": ["--v", "t^2+t+1", "--weight-max", "5",
+                               "--depth-max", "3", "--N", "7"],
+}
+
+
+def _env(root: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src")}
+
+
+def micro(root: Path, stmt: str, number: int) -> float:
+    code = MICRO.format(n=number, stmt=stmt)
+    out = subprocess.run([sys.executable, "-c", code], cwd=root,
+                         env=_env(root), check=True, capture_output=True,
+                         text=True).stdout
+    return float(out)
+
+
+def search(root: Path, args: list[str]) -> float:
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "ffmzv.cli", "search", *args],
+                   cwd=root, env=_env(root), check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    roots = [Path(d).resolve() for d in (argv or sys.argv[1:])]
+    if not roots:
+        raise SystemExit(__doc__)
+    names = list(MICROS) + list(SEARCHES)
+    samples = {(name, root): [] for name in names for root in roots}
+    for i in range(RUNS):
+        for name in names:
+            for root in roots:
+                if name in MICROS:
+                    value = micro(root, *MICROS[name])
+                else:
+                    value = search(root, SEARCHES[name])
+                samples[(name, root)].append(value)
+        print(f"run {i + 1}/{RUNS} done", file=sys.stderr, flush=True)
+    width = max(len(n) for n in names)
+    print(" " * width + "".join(f"  {str(r)}" for r in roots))
+    for name in names:
+        cells = [f"{statistics.median(samples[(name, r)]):.3g}"
+                 .rjust(len(str(r))) for r in roots]
+        print(name.ljust(width) + "".join(f"  {c}" for c in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

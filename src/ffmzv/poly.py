@@ -25,6 +25,9 @@ on such integers.  A slot must never carry into its neighbour:
 - divmod keeps the remainder as one integer.  Each step clears its leading
   coefficient and adds a cached negated multiple of the divisor below it;
   slots stay unreduced for as many steps as they can take without carrying.
+- window_reducer adds reduced table entries to the low coefficients under
+  the same rule: a slot below p takes (2^(8w) - 1) // (p - 1) - 1 additions
+  of at most p - 1 before it is reduced.
 
 Tables.  After each kernel every slot is reduced mod p.  One-byte slots are
 reduced with ``bytes.translate`` and a 256-entry table, as is scaling by an
@@ -377,6 +380,62 @@ def _scale(lay: _Layout, data: bytes, a: int) -> bytes:
     if a < lay.p and lay.w == 1:  # a lies in F_p: act slot by slot
         return data.translate(lay.scale_tables[a])
     return _kron(lay, data, lay.chunks[a])
+
+
+def window_reducer(modulus: Poly):
+    """The map x -> x % modulus, by window tables for deg x <= 2m - 2, where
+    m = deg modulus >= 1, and by divmod above that.
+
+    The coefficients m .. 2m-2 of x are cut into windows of k coefficients,
+    the largest k <= m - 1 with q^k <= 256 (at least 1).  The table of the
+    window at t^s maps its packed bytes c_0 .. c_(k-1) to the packed integer
+    of t^s (c_0 + ... + c_(k-1) t^(k-1)) mod modulus; tables whose powers
+    t^s .. t^(s+k-1) all vanish mod modulus are dropped.  A reduction adds
+    one lookup per window to the low m coefficients, with slots left
+    unreduced for as many additions as divmod's ``room`` rule allows, then
+    reduces the slots mod p once.
+    """
+    lay, spec = modulus._lay, modulus.spec
+    size, m, p, w = lay.size, modulus.degree(), lay.p, lay.w
+    low, full = m * size, (2 * m - 1) * size
+    k = 1
+    while k < m - 1 and spec.q ** (k + 1) <= 256:
+        k += 1
+    windows = []
+    for s in range(m, 2 * m - 1, k):
+        powers = [Poly.one(spec).shift(i) % modulus
+                  for i in range(s, min(s + k, 2 * m - 1))]
+        if all(r.is_zero() for r in powers):
+            continue
+        keys, sums = [b""], [Poly.zero(spec)]
+        for r in powers:
+            scaled = [r.scale(c) for c in range(spec.q)]
+            keys = [key + lay.chunks[c] for c in range(spec.q) for key in keys]
+            sums = [x + rc for rc in scaled for x in sums]
+        windows.append((s * size, (s + len(powers)) * size,
+                        {key: int.from_bytes(x.data, "little")
+                         for key, x in zip(keys, sums)}))
+    lazy = ((1 << 8 * w) - 1) // (p - 1) - 1
+
+    def reduce(x: Poly) -> Poly:
+        data = x.data
+        if len(data) <= low:
+            return x
+        if len(data) > full:
+            return x % modulus
+        data = data.ljust(full, b"\0")
+        acc = int.from_bytes(data[:low], "little")
+        room = lazy
+        for start, stop, table in windows:
+            acc += table[data[start:stop]]
+            room -= 1
+            if not room:
+                acc = int.from_bytes(
+                    lay.reduce(acc.to_bytes(low, "little"), w), "little")
+                room = lazy
+        return Poly(lay, lay.strip(lay.reduce(acc.to_bytes(low, "little"), w)))
+
+    return reduce
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

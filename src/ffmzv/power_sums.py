@@ -6,10 +6,12 @@ of v, and live in A/(v^N).  Every sum is memoized per key -- the nested zeta
 sums re-read these heavily.
 
 The residue sums read one cached unit table per (ring, d): the images mod
-v^N of the monics of degree d prime to v.  Its inverses cost a single
-inversion (Montgomery's simultaneous inversion, Math. Comp. 48, 1987,
-Section 10.3), and the list of e-th powers of its units is cached, so
-S~_d(k) for the next |k| costs one multiplication per unit.
+v^N of the monics of degree d prime to v, found by skipping the monic
+multiples v*b of degree d rather than dividing each monic by v.  Its
+inverses cost a single inversion (Montgomery's simultaneous inversion,
+Math. Comp. 48, 1987, Section 10.3), and the list of e-th powers of its
+units is cached, so S~_d(k) for the next |k| costs one multiplication per
+unit.
 
 A counting shortcut applies at finite precision: monic polynomials of degree
 d >= N*deg(v) are equidistributed over the residue classes mod v^N with
@@ -86,8 +88,11 @@ def _powers(ring: ResidueRing, d: int, e: int) -> list[ResidueElem]:
         return hit
     if e == 1:
         v = ring.v
+        # the monic multiples of v of degree d are the v*b, b monic
+        multiples = ({v * b for b in monic_polys(v.spec, d - v.degree())}
+                     if d >= v.degree() else set())
         hit = [ring.image(a) for a in monic_polys(v.spec, d)
-               if not (a % v).is_zero()]
+               if a not in multiples]
     elif e == -1:
         hit = _inverses(_powers(ring, d, 1))
     else:

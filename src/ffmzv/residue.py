@@ -3,6 +3,18 @@
 A ResidueRing holds v, N and v^N, once per (v, N); each element holds its
 ring and a reduced representative.  Combining elements of different rings
 is a hard error, never a silent coercion.
+
+Reduction.  With m = N*deg(v), a product of two representatives has degree
+at most 2m - 2.  Each ring builds one reducer (``poly.window_reducer``)
+when it is made: the coefficients m .. 2m-2 are cut into windows of k
+coefficients, the largest k <= m - 1 with q^k <= 256, and each window gets
+a table of t^s (c_0 + ... + c_(k-1) t^(k-1)) mod v^N for its offset s, as
+packed integers.  A product is reduced by adding one table entry per window
+to its low m coefficients and reducing the slots mod p once, so ``*`` and
+``image`` (up to degree 2m - 2) do no division.  Tables that are all zero
+are dropped: at v = t the reduction is a slice of the bytes.  Larger
+images, valuations and the inverse (extended Euclid against v^N) still
+divide.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidPrime, MixedModulus, NotInvertible
 from .fields import FieldSpec
-from .poly import Poly, is_irreducible, poly_ext_gcd
+from .poly import Poly, is_irreducible, poly_ext_gcd, window_reducer
 from .ratfn import RationalFn
 
 
@@ -69,6 +81,7 @@ class ResidueRing:
                 raise ValueError("precision must be >= 1")
             ring = super().__new__(cls)
             ring.v, ring.N, ring.modulus = v, N, v ** N
+            ring.reduce = window_reducer(ring.modulus)
             ring._zero = ResidueElem(ring, Poly.zero(v.spec))
             ring._one = ResidueElem(ring, Poly.one(v.spec))
             # a ring stored meanwhile by another thread wins
@@ -88,7 +101,7 @@ class ResidueRing:
 
     def image(self, x: Poly) -> "ResidueElem":
         """The image of a polynomial."""
-        return ResidueElem(self, x % self.modulus)
+        return ResidueElem(self, self.reduce(x))
 
     def from_ratfn(self, x: RationalFn) -> "ResidueElem":
         """The image of a rational function whose denominator is prime to v."""
@@ -137,13 +150,13 @@ class ResidueElem:
 
     def __mul__(self, other: "ResidueElem") -> "ResidueElem":
         self._join(other)
-        return ResidueElem(self.ring, self.rep * other.rep % self.ring.modulus)
+        return ResidueElem(self.ring, self.ring.reduce(self.rep * other.rep))
 
     def inv(self) -> "ResidueElem":
         g, u, _ = poly_ext_gcd(self.rep, self.ring.modulus)
         if g.degree() != 0:
             raise NotInvertible(f"{self.rep} is not invertible mod ({self.v})^{self.N}")
-        return ResidueElem(self.ring, u % self.ring.modulus)
+        return self.ring.image(u)
 
     def __pow__(self, e: int) -> "ResidueElem":
         base = self.inv() if e < 0 else self

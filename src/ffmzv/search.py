@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InvalidFamilyInput, InvalidScope, ScopeMismatch
 from .fields import FieldSpec
@@ -111,37 +112,40 @@ def find_relations(scope: SearchScope) -> list[FormalRelation]:
             for vec in nullspace(matrix)]
 
 
-def _universal_relations(scope: SearchScope,
-                         tuples: list[Composition]) -> list[FormalRelation]:
-    """All generated-family instances whose terms stay inside the scope's
-    tuple list, plus unit relations for structural zeros."""
-    spec = scope.spec
-    in_scope = {s.entries for s in tuples}
-    rels = []
-
-    evens = sorted(e for e in range(1, scope.weight_max + 1)
-                   if is_q_even(e, spec))
-    for n in range(1, scope.depth_max + 1, 2):
-        for combo in itertools.combinations(evens, n):
-            if sum(combo) > scope.weight_max:
-                continue
-            rel = gen_thm2(Composition(combo), spec)
-            if all(f in in_scope for _, fs in rel.terms for f in fs):
-                rels.append(rel)
-
-    for phi in range(2, scope.depth_max + 1):
+@cache
+def _family_relations(spec: FieldSpec, weight_max: int,
+                      depth_max: int) -> tuple[FormalRelation, ...]:
+    """Every nonempty ``gen_thm2``/``gen_thm3`` instance on q-even entries
+    of weight <= weight_max and depth <= depth_max; cached, as it depends on
+    the scope only through these three."""
+    evens = sorted(e for e in range(1, weight_max + 1) if is_q_even(e, spec))
+    rels = [gen_thm2(Composition(combo), spec)
+            for n in range(1, depth_max + 1, 2)
+            for combo in itertools.combinations(evens, n)
+            if sum(combo) <= weight_max]
+    for phi in range(2, depth_max + 1):
         for s0 in itertools.combinations_with_replacement(evens, phi):
-            if sum(s0) > scope.weight_max:
+            if sum(s0) > weight_max:
                 continue
             pairs = tuple(sorted((s, s0.count(s)) for s in set(s0)))
             try:
                 rel = gen_thm3(Thm3Config(pairs), spec)
             except InvalidFamilyInput:
                 continue
-            if rel.terms and all(f in in_scope
-                                 for _, fs in rel.terms for f in fs):
+            if rel.terms:
                 rels.append(rel)
+    return tuple(rels)
 
+
+def _universal_relations(scope: SearchScope,
+                         tuples: list[Composition]) -> list[FormalRelation]:
+    """All generated-family instances whose terms stay inside the scope's
+    tuple list, plus unit relations for structural zeros."""
+    spec = scope.spec
+    in_scope = {s.entries for s in tuples}
+    rels = [rel for rel in _family_relations(spec, scope.weight_max,
+                                             scope.depth_max)
+            if all(f in in_scope for _, fs in rel.terms for f in fs)]
     for s in tuples:
         if is_trivial_zero(s, scope.v, spec):
             rels.append(FormalRelation(terms=((1, (s.entries,)),),

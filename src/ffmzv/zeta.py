@@ -78,10 +78,11 @@ class TruncationConfig:
     star: bool = False
 
     def __post_init__(self):
-        if self.D < 1:
-            raise ValueError("D must be >= 1")
+        # N first: vadic_mzv_auto derives D = N*deg(v)+1 from it
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.D < 1:
+            raise ValueError("D must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,14 @@ def test_compute_vadic_auto(capsys):
     assert result["value"] == "0 mod (t)^3" and result["stabilized"] is True
 
 
+@pytest.mark.parametrize("N", ["0", "-1", "-5"])
+def test_compute_vadic_names_a_bad_N_not_the_derived_D(capsys, N):
+    # the auto D is N*deg(v)+1, so N = -1 gives D = 0; the user gave no D
+    assert main(["compute", "--tuple", "(1,2)", "--v", "t", "--N", N]) == 2
+    err = capsys.readouterr().err
+    assert "N must be >= 1" in err and "D must be" not in err
+
+
 def test_verify_families(capsys):
     code, out = run(capsys, "verify", "--family", "thm2", "--tuple", "(1,2,3)",
                     "--evaluator", "vadic", "--v", "t", "--N", "3")

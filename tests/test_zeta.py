@@ -48,6 +48,12 @@ def test_field_size_reads_only_ascii_integers(q):
         FieldSpec.parse(f"q={q}")
 
 
+@pytest.mark.parametrize("N", [0, -1, -4])
+def test_vadic_auto_names_a_bad_N(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        vadic_mzv_auto(T2, Composition((1, 2)), N, False, F2)
+
+
 def test_truncated_pinned_values():
     one = RationalFn.one(F2)
     assert truncated_mzv(1, Composition((7,)), False, F2) == one
