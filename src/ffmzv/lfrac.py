@@ -34,9 +34,8 @@ def l_poly(spec: FieldSpec, d: int) -> Poly:
 
 @cache
 def l_power(spec: FieldSpec, d: int, e: int) -> Poly:
-    if e == 0 or d == 0:
-        return Poly.one(spec)
-    return l_poly(spec, d) * l_power(spec, d, e - 1) if e > 1 else l_poly(spec, d)
+    """l_d^e."""
+    return l_poly(spec, d) ** e
 
 
 class LFrac:

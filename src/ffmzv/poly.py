@@ -344,8 +344,9 @@ class Poly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def monic(self) -> "Poly":

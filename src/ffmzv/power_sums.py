@@ -5,6 +5,13 @@ prime v the sums are the coprime variant S~_d(k), which skips the multiples
 of v, and live in A/(v^N).  Every sum is memoized per key -- the nested zeta
 sums re-read these heavily.
 
+For k >= 1 no monic is enumerated: the numerator of S_d(k) over l_d^k
+follows a linear recurrence in F_q[t] from Carlitz's generating function
+(Carlitz, Duke Math. J. 1, 1935; Thakur, Function Field Arithmetic, 2004,
+ch. 5), with at most d + 1 products per k (``_exact_frac``).  The q^d monics
+are enumerated only for k <= 0, where S_d(k) is a polynomial sum that
+vanishes past Carlitz's digit-sum bound, and for the residue unit tables.
+
 The residue sums read one cached unit table per (ring, d): the images mod
 v^N of the monics of degree d prime to v, found by skipping the monic
 multiples v*b of degree d rather than dividing each monic by v.  Its
@@ -22,6 +29,7 @@ shortcut is exercised against literal enumeration in the test suite.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 from operator import mul
 
@@ -39,26 +47,64 @@ _power_lists: dict[tuple, list[ResidueElem]] = {}
 
 
 def _exact_frac(spec: FieldSpec, d: int, k: int) -> LFrac:
-    """S_d(k) as an LFrac."""
+    """S_d(k) as an LFrac.
+
+    For k >= 1 it is N_k / l_d^k, the exponent tuple (0, ..., 0, k) (() at
+    d = 0), and the numerators N_k = l_d^k S_d(k) come from Carlitz's
+    recurrence, filled bottom-up through ``_exact_cache``:
+
+        N_1 = (-1)^d,
+        N_k = sum over i <= d with q^i <= k - 1 of (-1)^(d-i) c_(d,i) N_(k-q^i),
+
+    c_(d,i) as in ``_carlitz_coeff``.  For k <= 0 the q^d monics are
+    enumerated; S_d(0) = q^d is 0 for d >= 1."""
     key = (spec, d, k)
     hit = _exact_cache.get(key)
     if hit is not None:
         return hit
+    if k > 0:
+        start = k  # the least k' <= k whose sum is not cached yet
+        while start > 1 and (spec, d, start - 1) not in _exact_cache:
+            start -= 1
+        for j in range(start, k + 1):
+            # N_1 = (-1)^d; for j >= 2 the terms with q^i <= j - 1
+            num = _carlitz_coeff(spec, d, 0) if j == 1 else Poly.zero(spec)
+            for i in range(d + 1):
+                if spec.q ** i >= j:
+                    break
+                prev = _exact_cache[(spec, d, j - spec.q ** i)].num
+                num = num + _carlitz_coeff(spec, d, i) * prev
+            _exact_cache[(spec, d, j)] = LFrac(
+                spec, num, (0,) * (d - 1) + (j,) if d else ())
+        return _exact_cache[key]
     if k == 0:
         out = LFrac(spec, Poly.const(spec, spec.from_int(spec.q ** d)), ())
-    elif k < 0:
+    else:
         acc = Poly.zero(spec)
         for a in monic_polys(spec, d):
             acc = acc + a ** (-k)
         out = LFrac.from_poly(acc)
-    else:
-        ld = l_poly(spec, d)
-        acc = Poly.zero(spec)
-        for a in monic_polys(spec, d):
-            acc = acc + ld.exact_div(a) ** k
-        out = LFrac(spec, acc, tuple(0 for _ in range(d - 1)) + (k,) if d else ())
     _exact_cache[key] = out
     return out
+
+
+@cache
+def _carlitz_coeff(spec: FieldSpec, d: int, i: int) -> Poly:
+    """(-1)^(d-i) c_(d,i) with c_(d,i) = (l_d / l_(d-i))^(q^i) / D_i and
+    D_i = prod_(j<i) (t^(q^i) - t^(q^j)), an exact division; c_(d,0) = 1.
+    Clearing the denominators of Carlitz's generating function
+
+        sum_(k>=1) S_d(k) x^(k-1) = b_0 / (1 - sum_(i<=d) b_i x^(q^i)),
+        b_i = (-1)^(d-i) / (D_i l_(d-i)^(q^i))
+
+    (Thakur, Function Field Arithmetic, 2004, ch. 5) by l_d^k gives the
+    recurrence in ``_exact_frac``."""
+    t, q = Poly.t(spec), spec.q
+    D = Poly.one(spec)
+    for j in range(i):
+        D = D * (t.shift(q ** i - 1) - t.shift(q ** j - 1))
+    c = (l_poly(spec, d).exact_div(l_poly(spec, d - i)) ** q ** i).exact_div(D)
+    return -c if (d - i) % 2 else c
 
 
 def _residue_sum(spec: FieldSpec, d: int, k: int, v: Poly, N: int) -> ResidueElem:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ffmzv import FieldSpec, RationalFn, monic_polys
 from ffmzv.cli import main, parse_args
 
 
@@ -24,6 +25,18 @@ def test_compute_truncated(capsys):
     result = json.loads(out)
     assert result["evaluator"] == "trunc"
     assert result["value"] == "(t^2+t+1)/(t^2+t)"
+
+
+def test_compute_truncated_at_a_large_exponent(capsys):
+    # l_d^900 and S_d(900) are built without one recursive call per unit of
+    # the exponent; the value is the literal sum of a^-900 over deg a < 3
+    code, out = run(capsys, "compute", "--tuple", "(900,)", "--D", "3")
+    assert code == 0
+    F2 = FieldSpec.parse("q=2")
+    literal = sum((RationalFn.from_poly(a) ** -900
+                   for d in range(3) for a in monic_polys(F2, d)),
+                  RationalFn.zero(F2))
+    assert json.loads(out)["value"] == str(literal)
 
 
 def test_compute_finite(capsys):

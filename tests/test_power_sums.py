@@ -1,4 +1,5 @@
 import time
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from ffmzv import (FieldSpec, Poly, RationalFn, ResidueRing,
                    irreducible_polys, monic_polys, parse_poly, vanish_degree)
 from ffmzv import power_sums
 from ffmzv.errors import CapTooSmall
+from ffmzv.lfrac import l_poly
 from ffmzv.power_sums import (_exact_frac, _inverses, _powers, _residue_sum,
                               default_vanish_cap)
 
@@ -43,6 +45,74 @@ def test_oracle_equivalence_small_range():
             for k in range(-6, 7):
                 assert _exact_frac(spec, d, k).to_ratfn() == \
                     literal_power_sum(spec, d, k), (spec.q, d, k)
+
+
+FIELDS = [FieldSpec.parse(f"q={q}") for q in (2, 3, 4, 5, 7, 8, 9)]
+ENUM_CASES = [(spec, d) for spec in FIELDS
+              for d in range(5 if spec.q <= 3 else 4)]
+# (q, d) -> largest k whose enumeration below stays under ~0.3 s; k <= 40
+# elsewhere.  At k = 40 these take 6 s, ~30 s and ~170 s.
+ENUM_K_MAX = {(7, 3): 8, (8, 3): 2, (9, 3): 2}
+
+
+@cache
+def _cofactors(spec, d):
+    ld = l_poly(spec, d)
+    return [ld.exact_div(a) for a in monic_polys(spec, d)]
+
+
+def enumerated_numerator(spec, d, k):
+    """l_d^k S_d(k) = sum of (l_d/a)^k over the q^d monics a of degree d."""
+    return sum((b ** k for b in _cofactors(spec, d)), Poly.zero(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(ENUM_CASES), k=st.integers(1, 40))
+@example(case=(FIELDS[2], 3), k=12)
+def test_recurrence_matches_enumeration(case, k):
+    """S_d(k), k >= 1, from Carlitz's recurrence has the numerator and
+    exponent tuple of the sum over all q^d monics."""
+    spec, d = case
+    k = min(k, ENUM_K_MAX.get((spec.q, d), 40))
+    got = _exact_frac(spec, d, k)
+    assert got.num == enumerated_numerator(spec, d, k), (spec.q, d, k)
+    assert got.exps == ((0,) * (d - 1) + (k,) if d else ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(FIELDS), d=st.integers(0, 5), k=st.integers(1, 9))
+def test_carlitz_closed_form_up_to_q(spec, d, k):
+    """S_d(k) = 1/(l_d)^k up to the sign (-1)^(dk) for 1 <= k <= q."""
+    k = min(k, spec.q)
+    sign = Poly.one(spec) if d * k % 2 == 0 else -Poly.one(spec)
+    assert _exact_frac(spec, d, k).num == sign
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(FIELDS), d=st.integers(0, 3), k=st.integers(1, 30))
+def test_frobenius(spec, d, k):
+    """S_d(pk) = S_d(k)^p in characteristic p, so N_(pk) = N_k^p."""
+    k = min(k, 60 // spec.p)
+    assert _exact_frac(spec, d, spec.p * k).num == \
+        _exact_frac(spec, d, k).num ** spec.p
+
+
+def test_recurrence_is_a_loop():
+    # one recursive call per k would exceed the recursion limit
+    power_sums._exact_cache.clear()
+    out = _exact_frac(F2, 1, 5000)
+    assert out.exps == (5000,)
+    assert out.num == _exact_frac(F2, 1, 2500).num ** 2
+
+
+def test_recurrence_is_fast():
+    # S_5(12) at q = 4 sums over 1,024 monics of degree 5
+    F4 = FieldSpec.parse("q=4")
+    power_sums._exact_cache.clear()
+    power_sums._carlitz_coeff.cache_clear()
+    start = time.monotonic()
+    _exact_frac(F4, 5, 12)
+    assert time.monotonic() - start < 1.0
 
 
 def test_char_p_count():
