@@ -51,7 +51,7 @@ FIELDS = [FieldSpec.parse(f"q={q}") for q in (2, 3, 4, 5, 7, 8, 9)]
 ENUM_CASES = [(spec, d) for spec in FIELDS
               for d in range(5 if spec.q <= 3 else 4)]
 # (q, d) -> largest k whose enumeration below stays under ~0.3 s; k <= 40
-# elsewhere.  At k = 40 these take 6 s, ~30 s and ~170 s.
+# elsewhere.  At k = 40 these take 6 s, ~30 s and ~170 s on a 2-vCPU Xeon.
 ENUM_K_MAX = {(7, 3): 8, (8, 3): 2, (9, 3): 2}
 
 
@@ -82,7 +82,7 @@ def test_recurrence_matches_enumeration(case, k):
 @settings(max_examples=40, deadline=None)
 @given(spec=st.sampled_from(FIELDS), d=st.integers(0, 5), k=st.integers(1, 9))
 def test_carlitz_closed_form_up_to_q(spec, d, k):
-    """S_d(k) = 1/(l_d)^k up to the sign (-1)^(dk) for 1 <= k <= q."""
+    """S_d(k) = (-1)^(dk) / l_d^k for 1 <= k <= q (Carlitz)."""
     k = min(k, spec.q)
     sign = Poly.one(spec) if d * k % 2 == 0 else -Poly.one(spec)
     assert _exact_frac(spec, d, k).num == sign
