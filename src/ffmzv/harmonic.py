@@ -8,10 +8,11 @@ D.  A zeta value is the instance h(d, s) = S_d(s), and both run through the
 same chain-sum DP (``zeta.chain_sum``).  The identity checkers evaluate the
 generator form of the relation families, sum of coeff * H(head) * (the sum
 of H over the orderings of a multiset), whose expansion is the term list of
-the formal relations: depth-1 heads through ``mht_sum``, and each orderings
-sum by one DP over sub-multisets (``zeta.orderings_sum``), never ordering by
-ordering.  Passing them over random rings exercises the combinatorics
-independently of any zeta arithmetic.
+the formal relations, by the generator evaluator of the thmA/thmB relations
+(``relations.generator_sum``): depth-1 heads through ``mht_sum``, and each
+orderings sum by one DP over sub-multisets (``zeta.orderings_sum``), never
+ordering by ordering.  Passing them over random rings exercises the
+combinatorics independently of any zeta arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from .errors import DoublingLawViolated, InvalidFamilyInput
 from .fields import FieldSpec
 from .relations import (check_doubling_shape, check_perm_shape,
-                        doubling_identity_generators,
-                        signed_perm_identity_generators)
+                        doubling_identity_generators, generator_sum,
+                        reduce_generators, signed_perm_identity_generators)
 from .zeta import chain_sum, orderings_sum
 
 
@@ -245,25 +246,27 @@ def _check_magma(inst: MHTInstance, s):
             raise ValueError(f"exponent {e} outside the instance magma")
 
 
-def _generator_sum(inst: MHTInstance, generators):
-    """Sum of coeff * H(head) * (orderings sum of the multiset) over
-    ``relations`` generators, with one memo for the whole sum."""
-    ring, memo = inst.ring, {}
-    acc = ring.zero()
-    for coeff, head, multiset, signed in generators:
-        prod = mht_sum(inst, head, memo=memo) if head else ring.one()
-        if multiset:
-            prod = ring.mul(prod, mht_orderings_sum(inst, multiset, False,
-                                                    signed, memo))
-        acc = ring.add(acc, ring.scale(prod, coeff))
-    return acc
+def _node_values(inst: MHTInstance):
+    """The value callback of ``relations.generator_sum`` on an instance: a
+    head node by ``mht_sum``, an orderings node by ``mht_orderings_sum``,
+    with one memo for the whole sum."""
+    memo = {}
+
+    def value(node):
+        kind, entries = node
+        if kind is None:
+            return mht_sum(inst, entries, memo=memo)
+        return mht_orderings_sum(inst, entries, False, kind, memo)
+    return value
 
 
 def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
     """Residual of the signed-permutation product identity; zero for every
     instance."""
     check_perm_shape(s)
-    residual = _generator_sum(inst, signed_perm_identity_generators(tuple(s)))
+    residual = generator_sum(inst.ring,
+                             signed_perm_identity_generators(tuple(s)),
+                             _node_values(inst))
     return residual, residual == inst.ring.zero()
 
 
@@ -280,7 +283,9 @@ def check_thmD(inst: MHTInstance, pairs):
                 hs = inst.h[(d, s)]
                 if inst.h.get((d, 2 * s)) != ring.mul(hs, hs):
                     raise DoublingLawViolated(f"h({d},{2*s}) != h({d},{s})^2")
-    residual = _generator_sum(inst, doubling_identity_generators(tuple(pairs)))
+    residual = generator_sum(
+        ring, reduce_generators(doubling_identity_generators(tuple(pairs)), 2),
+        _node_values(inst))
     return residual, residual == ring.zero()
 
 

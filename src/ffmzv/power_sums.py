@@ -73,7 +73,10 @@ def _exact_frac(spec: FieldSpec, d: int, k: int) -> LFrac:
                 if spec.q ** i >= j:
                     break
                 prev = _exact_cache[(spec, d, j - spec.q ** i)].num
-                num = num + _carlitz_coeff(spec, d, i) * prev
+                if i:
+                    num = num + _carlitz_coeff(spec, d, i) * prev
+                else:  # c_(d,0) = (-1)^d: no product
+                    num = num - prev if d % 2 else num + prev
             _exact_cache[(spec, d, j)] = LFrac(
                 spec, num, (0,) * (d - 1) + (j,) if d else ())
         return _exact_cache[key]

@@ -13,24 +13,28 @@ Family tags (also the CLI --family names):
 
 Each family is described once, by generators: a coefficient, a depth-1 head
 factor or none, and a multiset summed over its orderings.  The term lists of
-the formal relations are their expansion; the generic harmonic-sum checker
-evaluates the generators themselves, so the same combinatorics is exercised
-over arbitrary commutative rings.
+the formal relations are their expansion, for reports and serialization;
+the thmA/thmB relations keep their generators too, and both they and the
+generic harmonic-sum checkers are evaluated by generators
+(``generator_sum``): one orderings sum per multiset, by the chain-sum DP
+over its sub-multisets, never one term per ordering.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cache, reduce
+from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from .fields import FieldSpec
+from . import zeta
 from .poly import Poly
-from .power_sums import default_vanish_cap, vanish_degree
+from .power_sums import (_exact_frac, _residue_sum, default_vanish_cap,
+                         vanish_degree)
 from .residue import ResidueRing
-from .zeta import (Composition, _truncated_frac, exact_ring, finite_mzv,
-                   vadic_mzv_auto)
+from .zeta import (Composition, _truncated_frac, exact_bound, exact_ring,
+                   finite_mzv, vadic_mzv_auto)
 
 # -- family generators and their terms (integer coefficients, plain tuples) -----
 
@@ -68,6 +72,11 @@ def expand(generators) -> list[tuple[int, tuple]]:
             terms.extend((coeff, head + (order,))
                          for order in _reorders(multiset))
     return terms
+
+
+def reduce_generators(generators, p: int) -> tuple:
+    """The generators with coefficients reduced mod p, zero ones dropped."""
+    return tuple((c % p, *rest) for c, *rest in generators if c % p)
 
 
 def signed_perm_generators(entries: tuple[int, ...]) -> list[tuple]:
@@ -162,6 +171,9 @@ class FormalRelation:
     terms: tuple  # of (coeff in [1, q-1], factor tuple of entry-tuples)
     tag: str
     spec: FieldSpec
+    # the generators the terms expand from, coefficients in [1, p-1], when
+    # a family builder made the relation; ``evaluate_relation`` sums them
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for coeff, _ in self.terms:
@@ -169,15 +181,17 @@ class FormalRelation:
                 raise ValueError(f"coefficient {coeff} is outside [1, q-1]")
 
     @staticmethod
-    def build(raw_terms, tag: str, spec: FieldSpec) -> "FormalRelation":
+    def build(raw_terms, tag: str, spec: FieldSpec,
+              generators=()) -> "FormalRelation":
         p = spec.p
         combined: dict[tuple, int] = {}
         for coeff, factors in raw_terms:
             key = tuple(sorted(tuple(f) for f in factors if len(f) > 0))
             combined[key] = (combined.get(key, 0) + coeff) % p
         terms = tuple(sorted((key, c) for key, c in combined.items() if c))
-        return FormalRelation(terms=tuple((c, key) for key, c in terms),
-                              tag=tag, spec=spec)
+        return FormalRelation(
+            terms=tuple((c, key) for key, c in terms), tag=tag, spec=spec,
+            generators=reduce_generators(generators, p))
 
     def to_json_lines(self) -> str:
         lines = []
@@ -275,16 +289,16 @@ def gen_thm3(cfg: Thm3Config, spec: FieldSpec) -> FormalRelation:
 def gen_thmA(s: Composition, spec: FieldSpec) -> FormalRelation:
     """Permutation-sum product identity, valid at every truncation level."""
     _check_perm_input(s, spec)
-    return FormalRelation.build(
-        expand(signed_perm_identity_generators(s.entries)), "thmA", spec)
+    gens = signed_perm_identity_generators(s.entries)
+    return FormalRelation.build(expand(gens), "thmA", spec, gens)
 
 
 def gen_thmB(cfg: Thm3Config, spec: FieldSpec) -> FormalRelation:
     """Doubling product identity (characteristic 2), valid at every
     truncation level."""
     _check_doubling_input(cfg, spec)
-    return FormalRelation.build(
-        expand(doubling_identity_generators(cfg.pairs)), "thmB", spec)
+    gens = doubling_identity_generators(cfg.pairs)
+    return FormalRelation.build(expand(gens), "thmB", spec, gens)
 
 
 def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
@@ -323,12 +337,29 @@ def sum_of_products(ring, terms, value):
     values = {}
     acc = ring.zero()
     for coeff, factors in terms:
+        prod = None
         for factor in factors:
-            if factor not in values:
-                values[factor] = value(factor)
-        prod = reduce(ring.mul, map(values.get, factors)) if factors else ring.one()
-        acc = ring.add(acc, ring.scale(prod, coeff))
+            x = values.get(factor)
+            if x is None:
+                x = values[factor] = value(factor)
+            prod = x if prod is None else ring.mul(prod, x)
+        acc = ring.add(acc, ring.scale(ring.one() if prod is None else prod,
+                                       coeff))
     return acc
+
+
+def generator_sum(ring, generators, value):
+    """Sum of coeff * value(head node) * value(orderings node) over
+    generators, by ``sum_of_products``: a head is the node (None, head) and
+    a multiset the node (signed, multiset) of ``zeta._top_terms``; an empty
+    head or multiset is no factor."""
+    terms = []
+    for coeff, head, multiset, signed in generators:
+        nodes = ((None, head),) if head else ()
+        if multiset:
+            nodes += ((signed, multiset),)
+        terms.append((coeff, nodes))
+    return sum_of_products(ring, terms, value)
 
 
 @dataclass(frozen=True)
@@ -345,6 +376,11 @@ class TruncatedExact:
     def ring(self, spec: FieldSpec):
         return exact_ring(spec)
 
+    def table(self, spec: FieldSpec):
+        """(D, h): the level the value sums below and the table h(d, k) of
+        its chain-sum DP."""
+        return self.D, partial(_exact_frac, spec)
+
     def value(self, s: Composition, spec: FieldSpec):
         return _truncated_frac(self.D, s, self.star, spec)
 
@@ -360,6 +396,10 @@ class Finite:
 
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, 1)
+
+    def table(self, spec: FieldSpec):
+        return (self.v.degree(),
+                lambda d, k: _residue_sum(spec, d, k, self.v, 1))
 
     def value(self, s: Composition, spec: FieldSpec):
         return finite_mzv(self.v, s, self.star, spec)
@@ -379,6 +419,10 @@ class Vadic:
 
     def ring(self, spec: FieldSpec):
         return ResidueRing(self.v, self.N)
+
+    def table(self, spec: FieldSpec):
+        return (exact_bound(self.v, self.N),
+                lambda d, k: _residue_sum(spec, d, k, self.v, self.N))
 
     def value(self, s: Composition, spec: FieldSpec):
         return vadic_mzv_auto(self.v, s, self.N, self.star, spec).value
@@ -419,10 +463,24 @@ def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec):
 
 def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
     """Sum of coeff * product of factor values in the evaluator's carrier;
-    returns (value, verdict)."""
+    returns (value, verdict).  A relation with generators is summed by them:
+    each head is a factor value, each multiset the P[D] of its
+    ``zeta._top_terms`` node in the process table store; any other relation
+    by its terms."""
     if not isinstance(evaluator, (TruncatedExact, Finite, Vadic)):
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
     spec = rel.spec
-    acc = sum_of_products(evaluator.ring(spec), rel.terms,
-                          lambda f: _factor_value(f, evaluator, spec))
-    return evaluator.verdict(acc)
+    ring = evaluator.ring(spec)
+    if not rel.generators:
+        return evaluator.verdict(sum_of_products(
+            ring, rel.terms, lambda f: _factor_value(f, evaluator, spec)))
+    D, h = evaluator.table(spec)
+
+    def value(node):
+        kind, entries = node
+        if kind is None:
+            return _factor_value(entries, evaluator, spec)
+        return zeta._top_terms(entries, D, evaluator.star, ring, h,
+                               zeta._trunc_cache, kind)[D]
+
+    return evaluator.verdict(generator_sum(ring, rel.generators, value))

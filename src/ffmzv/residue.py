@@ -63,7 +63,7 @@ def poly_inv_mod(a: Poly, v: Poly, N: int) -> Poly:
 
 class ResidueRing:
     """A/(v^N) for a monic prime v and precision N >= 1, speaking the
-    zero/one/add/mul/scale ring protocol.
+    zero/one/add/neg/mul/scale ring protocol.
 
     There is one instance per (v, N): the first call checks v and computes
     v^N, later calls return the same ring, so elements compare rings by
@@ -71,6 +71,7 @@ class ResidueRing:
 
     _rings: dict[tuple[Poly, int], "ResidueRing"] = {}
     add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
 
     def __new__(cls, v: Poly, N: int):

@@ -100,11 +100,11 @@ class _Ring(SimpleNamespace):
 
 @cache
 def exact_ring(spec: FieldSpec) -> SimpleNamespace:
-    """F_q(t), on LFrac elements, in the zero/one/add/mul/scale ring
+    """F_q(t), on LFrac elements, in the zero/one/add/neg/mul/scale ring
     protocol; cached, so one ring per field."""
     zero, one = LFrac.zero(spec), LFrac.one(spec)
     return _Ring(zero=lambda: zero, one=lambda: one, add=operator.add,
-                 mul=operator.mul, scale=LFrac.scale)
+                 neg=operator.neg, mul=operator.mul, scale=LFrac.scale)
 
 
 def _top_terms(entries, D, star, ring, h, tables, orderings=None):
@@ -126,11 +126,14 @@ def _top_terms(entries, D, star, ring, h, tables, orderings=None):
     (orderings, entries)) to one table P per node, which a larger D only
     lengthens: a node's new cells d = L..D-1 need only the tables of the
     nodes below it, grown first, so the walk down stops at every table that
-    already reaches D.  The stored tables are shared, so callers must not
-    mutate what this returns.
+    already reaches D.  A node of one entry has the same table in every
+    kind, so it is always keyed as a tuple: a depth-1 value and the
+    singletons of an orderings walk share it.  The stored tables are
+    shared, so callers must not mutate what this returns.
     """
     entries = tuple(sorted(entries) if orderings is False else entries)
-    return _grow((orderings, entries), D, star, ring, h, tables, {})
+    return _grow((orderings if len(entries) > 1 else None, entries), D, star,
+                 ring, h, tables, {})
 
 
 def _grow(node, D, star, ring, h, tables, rows):
@@ -150,7 +153,8 @@ def _grow(node, D, star, ring, h, tables, rows):
         if row is None:
             row = rows[e, L] = [h(d, e) for d in range(L, D)]
         rest = entries[:i] + entries[i + 1:]
-        pick = _step(_grow((kind, rest), D, star, ring, h, tables, rows),
+        pick = _step(_grow((kind if len(rest) > 1 else None, rest), D, star,
+                           ring, h, tables, rows),
                      row, star, ring, L) if rest else row
         if kind and i % 2:
             pick = list(map(ring.neg, pick))

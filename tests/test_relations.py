@@ -14,7 +14,10 @@ from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from ffmzv.poly import Poly
 from ffmzv.ratfn import RationalFn
-from ffmzv.relations import _reorders, sum_of_products
+from ffmzv.relations import (_reorders, doubling_generators,
+                             doubling_identity_generators, expand,
+                             signed_perm_generators,
+                             signed_perm_identity_generators, sum_of_products)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -237,3 +240,89 @@ def test_sum_of_products_empty_factor_tuple_adds_coeff_times_one():
     assert sum_of_products(ring, [(3, ()), (-1, ((2,),))],
                            _FACTOR_VALUES.__getitem__) == 3 + Fraction(1, 3)
     assert ring.muls == 0
+
+
+# -- relations evaluated by their generators -------------------------------------
+
+# a degree-2 prime per field for the finite place
+_DEGREE_2 = {2: "t^2+t+1", 3: "t^2+1", 4: "t^2+t+a"}
+
+
+def _evaluators(spec):
+    """TruncatedExact at D = 1..4, star and strict, the finite place of a
+    degree-2 prime, and the v-adic values at v = t, N = 2 and 3."""
+    t = parse_poly("t", spec)
+    return ([TruncatedExact(D, star) for D in range(1, 5)
+             for star in (False, True)]
+            + [Finite(parse_poly(_DEGREE_2[spec.q], spec), star)
+               for star in (False, True)]
+            + [Vadic(t, N, star) for N in (2, 3) for star in (False, True)])
+
+
+@st.composite
+def family_generators(draw):
+    """(spec, generators) of a thm2/thmA builder on distinct q-even entries
+    of odd depth <= 5, or of a thm3/thmB builder (p = 2 only) on doubling
+    pairs, then a random sub-list of them, so the sum is mostly nonzero."""
+    spec = draw(st.sampled_from([F2, F3, F4]))
+    evens = [s for s in range(1, 13) if is_q_even(s, spec)][:6]
+    if spec.p == 2 and draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(evens[:4]), min_size=1,
+                               max_size=2, unique=True))
+        pairs = tuple((s, draw(st.integers(1, 3))) for s in values)
+        doubled = [2 * s for s, k in pairs if k > 1]
+        if len(set(values + doubled)) < len(values) + len(doubled) or \
+                sum(k for _, k in pairs) > 5:
+            pairs = tuple((s, 1) for s in values)
+        builder = draw(st.sampled_from([doubling_generators,
+                                        doubling_identity_generators]))
+        gens = builder(pairs)
+    else:
+        depth = draw(st.sampled_from([1, 3, 5] if spec.q < 4 else [1, 3]))
+        entries = tuple(draw(st.permutations(evens))[:depth])
+        builder = draw(st.sampled_from([signed_perm_generators,
+                                        signed_perm_identity_generators]))
+        gens = builder(entries)
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.sampled_from(range(len(gens))), min_size=1,
+                             unique=True))
+        gens = [gens[i] for i in sorted(keep)]
+    return spec, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_generators(), st.data())
+def test_generator_sums_equal_term_sums(case, data):
+    """A relation built with its generators is evaluated by them, one
+    orderings sum per multiset; the same relation without them by its
+    terms, one factor value per ordering.  The values must agree."""
+    spec, gens = case
+    by_generators = FormalRelation.build(expand(gens), "custom", spec, gens)
+    by_terms = FormalRelation.build(expand(gens), "custom", spec)
+    assert not by_terms.generators
+    evaluators = _evaluators(spec)
+    for ev in data.draw(st.lists(st.sampled_from(evaluators), min_size=1,
+                                 max_size=4, unique=True)):
+        got = evaluate_relation(by_generators, ev)
+        want = evaluate_relation(by_terms, ev)
+        assert got[0] == want[0] and got[1] == want[1], (gens, ev)
+
+
+def test_family_relations_keep_their_generators():
+    """thmA/thmB keep generators reduced mod p, zero ones dropped, and
+    still compare, hash and serialize by their terms alone; thm2/thm3 and
+    parsed relations carry none."""
+    rel = gen_thmA(Composition((2, 4, 6)), F3)
+    gens = signed_perm_identity_generators((2, 4, 6))
+    assert rel.generators == tuple((c % 3, *rest) for c, *rest in gens)
+    bare = FormalRelation.build(expand(gens), "thmA", F3)
+    assert rel == bare and hash(rel) == hash(bare) and repr(rel) == repr(bare)
+    assert rel.to_json_lines() == bare.to_json_lines()
+    pairs = ((1, 2), (3, 2))
+    rel = gen_thmB(Thm3Config(pairs), F2)
+    assert all(c == 1 for c, *_ in rel.generators)
+    assert len(rel.generators) < len(doubling_identity_generators(pairs))
+    assert not gen_thm2(Composition((1, 2, 3)), F2).generators
+    assert not gen_thm3(Thm3Config(pairs), F2).generators
+    assert not FormalRelation.from_json_lines(rel.to_json_lines(),
+                                              F2).generators
