@@ -201,7 +201,7 @@ def _run_verify(args, spec: FieldSpec) -> dict:
     value, verdict = evaluate_relation(rel, evaluator)
     return {"command": "verify", "q": spec.q, "family": args.family,
             "input": inp, "evaluator": args.evaluator, "star": args.star,
-            "terms": len(rel.terms), "value": str(value),
+            "terms": rel.term_count(), "value": str(value),
             "verdict": str(verdict), "passed": verdict.passed}
 
 

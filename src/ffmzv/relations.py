@@ -12,19 +12,22 @@ Family tags (also the CLI --family names):
           every truncation level.
 
 Each family is described once, by generators: a coefficient, a depth-1 head
-factor or none, and a multiset summed over its orderings.  The term lists of
-the formal relations are their expansion, for reports and serialization;
-the thmA/thmB relations keep their generators too, and both they and the
-generic harmonic-sum checkers are evaluated by generators
-(``generator_sum``): one orderings sum per multiset, by the chain-sum DP
-over its sub-multisets, never one term per ordering.
+factor or none, and a multiset summed over its orderings.  A family
+relation keeps its generators, and it is evaluated by them
+(``generator_sum``), like the generic harmonic-sum checkers: one orderings
+sum per multiset, by the chain-sum DP over its sub-multisets, never one
+term per ordering.  Its term list, their expansion, is built only when
+read, for serialization and equality; the report's term count comes from
+the generators.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cache, partial
+from math import factorial, prod
 
 from .errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from .fields import FieldSpec
@@ -162,36 +165,92 @@ def doubling_identity_generators(pairs) -> list[tuple]:
 # -- formal relations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalRelation:
-    """F_q-linear combination of products of zeta values.  Each coefficient
-    is the index of a nonzero F_q element; ``build`` reduces integer
-    coefficients into F_p, sorts the factors within each term, combines
-    like terms and drops zero-coefficient and identity factors."""
-    terms: tuple  # of (coeff in [1, q-1], factor tuple of entry-tuples)
-    tag: str
-    spec: FieldSpec
-    # the generators the terms expand from, coefficients in [1, p-1], when
-    # a family builder made the relation; ``evaluate_relation`` sums them
-    generators: tuple = field(default=(), compare=False, repr=False)
+def _merge(raw_terms, p: int) -> tuple:
+    """Terms (coeff in [1, p-1], factors): coefficients reduced mod p, the
+    factors of each term sorted, empty factors dropped, like terms combined
+    and zero ones dropped, in sorted order."""
+    combined: dict[tuple, int] = {}
+    for coeff, factors in raw_terms:
+        key = tuple(sorted(tuple(f) for f in factors if len(f) > 0))
+        combined[key] = (combined.get(key, 0) + coeff) % p
+    return tuple((c, key) for key, c in sorted(combined.items()) if c)
 
-    def __post_init__(self):
-        for coeff, _ in self.terms:
-            if not 0 < coeff < self.spec.q:
-                raise ValueError(f"coefficient {coeff} is outside [1, q-1]")
+
+class FormalRelation:
+    """F_q-linear combination of products of zeta values, as ``terms``:
+    (coeff, factor tuple of entry-tuples), each coefficient the index of a
+    nonzero F_q element.  ``build`` reduces integer coefficients into F_p,
+    sorts the factors within each term, combines like terms and drops
+    zero-coefficient and identity factors.
+
+    A family relation (``from_generators``) keeps its ``generators``,
+    coefficients in [1, p-1], and ``evaluate_relation`` sums them; its terms
+    are their ``build``, expanded on the first read and kept.  Equality,
+    hashing and ``repr`` read ``terms`` and ``tag`` and ``spec`` only, as
+    for a relation given by its terms, whose ``generators`` is None."""
+
+    def __init__(self, terms, tag: str, spec: FieldSpec, generators=None):
+        if terms is not None:
+            for coeff, _ in terms:
+                if not 0 < coeff < spec.q:
+                    raise ValueError(
+                        f"coefficient {coeff} is outside [1, q-1]")
+        self._terms, self.tag, self.spec = terms, tag, spec
+        self.generators = generators
+
+    @property
+    def terms(self) -> tuple:
+        if self._terms is None:
+            self._terms = _merge(expand(self.generators), self.spec.p)
+        return self._terms
+
+    def term_count(self) -> int:
+        """``len(terms)``, counted from the generators while the terms are
+        unexpanded.  Terms of two generators can merge only when their heads
+        and multisets agree up to order, so a generator alone in its group
+        has one term per distinct ordering of its multiset, and only the
+        groups of several are expanded."""
+        if self._terms is not None:
+            return len(self._terms)
+        groups: dict[tuple, list] = {}
+        for gen in self.generators:
+            _, head, multiset, _ = gen
+            key = tuple(sorted(f for f in (head, tuple(sorted(multiset))) if f))
+            groups.setdefault(key, []).append(gen)
+        count = 0
+        for gens in groups.values():
+            if len(gens) == 1:
+                multiset = gens[0][2]
+                count += factorial(len(multiset)) // prod(
+                    map(factorial, Counter(multiset).values()))
+            else:
+                count += len(_merge(expand(gens), self.spec.p))
+        return count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.terms, self.tag, self.spec)
+                == (other.terms, other.tag, other.spec))
+
+    def __hash__(self):
+        return hash((self.terms, self.tag, self.spec))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(terms={self.terms!r}, "
+                f"tag={self.tag!r}, spec={self.spec!r})")
 
     @staticmethod
-    def build(raw_terms, tag: str, spec: FieldSpec,
-              generators=()) -> "FormalRelation":
-        p = spec.p
-        combined: dict[tuple, int] = {}
-        for coeff, factors in raw_terms:
-            key = tuple(sorted(tuple(f) for f in factors if len(f) > 0))
-            combined[key] = (combined.get(key, 0) + coeff) % p
-        terms = tuple(sorted((key, c) for key, c in combined.items() if c))
-        return FormalRelation(
-            terms=tuple((c, key) for key, c in terms), tag=tag, spec=spec,
-            generators=reduce_generators(generators, p))
+    def build(raw_terms, tag: str, spec: FieldSpec) -> "FormalRelation":
+        return FormalRelation(_merge(raw_terms, spec.p), tag, spec)
+
+    @staticmethod
+    def from_generators(generators, tag: str,
+                        spec: FieldSpec) -> "FormalRelation":
+        """The relation ``build(expand(generators))``, kept as its
+        generators reduced mod p; the terms are expanded when first read."""
+        return FormalRelation(None, tag, spec,
+                              reduce_generators(generators, spec.p))
 
     def to_json_lines(self) -> str:
         lines = []
@@ -275,30 +334,30 @@ def gen_thm2(s: Composition, spec: FieldSpec) -> FormalRelation:
     """Alternating permutation relation on a distinct q-even tuple of odd
     depth; n! single-factor terms."""
     _check_perm_input(s, spec)
-    return FormalRelation.build(expand(signed_perm_generators(s.entries)),
-                                "thm2", spec)
+    return FormalRelation.from_generators(signed_perm_generators(s.entries),
+                                          "thm2", spec)
 
 
 def gen_thm3(cfg: Thm3Config, spec: FieldSpec) -> FormalRelation:
     """Characteristic-2 doubling relation from multiplicity pairs."""
     _check_doubling_input(cfg, spec)
-    return FormalRelation.build(expand(doubling_generators(cfg.pairs)),
-                                "thm3", spec)
+    return FormalRelation.from_generators(doubling_generators(cfg.pairs),
+                                          "thm3", spec)
 
 
 def gen_thmA(s: Composition, spec: FieldSpec) -> FormalRelation:
     """Permutation-sum product identity, valid at every truncation level."""
     _check_perm_input(s, spec)
-    gens = signed_perm_identity_generators(s.entries)
-    return FormalRelation.build(expand(gens), "thmA", spec, gens)
+    return FormalRelation.from_generators(
+        signed_perm_identity_generators(s.entries), "thmA", spec)
 
 
 def gen_thmB(cfg: Thm3Config, spec: FieldSpec) -> FormalRelation:
     """Doubling product identity (characteristic 2), valid at every
     truncation level."""
     _check_doubling_input(cfg, spec)
-    gens = doubling_identity_generators(cfg.pairs)
-    return FormalRelation.build(expand(gens), "thmB", spec, gens)
+    return FormalRelation.from_generators(
+        doubling_identity_generators(cfg.pairs), "thmB", spec)
 
 
 def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
@@ -353,13 +412,20 @@ def generator_sum(ring, generators, value):
     generators, by ``sum_of_products``: a head is the node (None, head) and
     a multiset the node (signed, multiset) of ``zeta._top_terms``; an empty
     head or multiset is no factor."""
+    return sum_of_products(ring, _generator_terms(tuple(generators)), value)
+
+
+@cache
+def _generator_terms(generators: tuple) -> tuple:
+    """The (coeff, nodes) terms of ``generator_sum``, built once per
+    generators tuple: a check or a relation evaluated again reuses them."""
     terms = []
     for coeff, head, multiset, signed in generators:
         nodes = ((None, head),) if head else ()
         if multiset:
             nodes += ((signed, multiset),)
         terms.append((coeff, nodes))
-    return sum_of_products(ring, terms, value)
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -471,7 +537,7 @@ def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
     spec = rel.spec
     ring = evaluator.ring(spec)
-    if not rel.generators:
+    if rel.generators is None:
         return evaluator.verdict(sum_of_products(
             ring, rel.terms, lambda f: _factor_value(f, evaluator, spec)))
     D, h = evaluator.table(spec)

@@ -11,9 +11,11 @@ from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
                    gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
                    RationalRing, ResidueRing, is_trivial_zero, parse_poly)
+from ffmzv import relations
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from ffmzv.poly import Poly
 from ffmzv.ratfn import RationalFn
+from ffmzv.search import SearchScope, find_relations
 from ffmzv.relations import (_reorders, doubling_generators,
                              doubling_identity_generators, expand,
                              signed_perm_generators,
@@ -262,12 +264,13 @@ def _evaluators(spec):
 @st.composite
 def family_generators(draw):
     """(spec, generators) of a thm2/thmA builder on distinct q-even entries
-    of odd depth <= 5, or of a thm3/thmB builder (p = 2 only) on doubling
-    pairs, then a random sub-list of them, so the sum is mostly nonzero."""
+    of odd depth <= 5, entries <= 0 included, or of a thm3/thmB builder
+    (p = 2 only) on doubling pairs, then a random sub-list of them, so the
+    sum is mostly nonzero."""
     spec = draw(st.sampled_from([F2, F3, F4]))
-    evens = [s for s in range(1, 13) if is_q_even(s, spec)][:6]
+    evens = [s for s in range(-6, 13) if is_q_even(s, spec)]
     if spec.p == 2 and draw(st.booleans()):
-        values = draw(st.lists(st.sampled_from(evens[:4]), min_size=1,
+        values = draw(st.lists(st.sampled_from(evens[:8]), min_size=1,
                                max_size=2, unique=True))
         pairs = tuple((s, draw(st.integers(1, 3))) for s in values)
         doubled = [2 * s for s, k in pairs if k > 1]
@@ -279,7 +282,9 @@ def family_generators(draw):
         gens = builder(pairs)
     else:
         depth = draw(st.sampled_from([1, 3, 5] if spec.q < 4 else [1, 3]))
-        entries = tuple(draw(st.permutations(evens))[:depth])
+        entries = tuple(draw(st.lists(st.sampled_from(evens),
+                                      min_size=depth, max_size=depth,
+                                      unique=True)))
         builder = draw(st.sampled_from([signed_perm_generators,
                                         signed_perm_identity_generators]))
         gens = builder(entries)
@@ -293,13 +298,15 @@ def family_generators(draw):
 @settings(max_examples=60, deadline=None)
 @given(family_generators(), st.data())
 def test_generator_sums_equal_term_sums(case, data):
-    """A relation built with its generators is evaluated by them, one
-    orderings sum per multiset; the same relation without them by its
-    terms, one factor value per ordering.  The values must agree."""
+    """A relation made from its generators is evaluated by them, one
+    orderings sum per multiset; the same relation built from their terms
+    by its terms, one factor value per ordering.  The values must agree,
+    for entries <= 0 too, whose power sums the orderings walk reads
+    alike."""
     spec, gens = case
-    by_generators = FormalRelation.build(expand(gens), "custom", spec, gens)
+    by_generators = FormalRelation.from_generators(gens, "custom", spec)
     by_terms = FormalRelation.build(expand(gens), "custom", spec)
-    assert not by_terms.generators
+    assert by_terms.generators is None
     evaluators = _evaluators(spec)
     for ev in data.draw(st.lists(st.sampled_from(evaluators), min_size=1,
                                  max_size=4, unique=True)):
@@ -308,10 +315,16 @@ def test_generator_sums_equal_term_sums(case, data):
         assert got[0] == want[0] and got[1] == want[1], (gens, ev)
 
 
+def test_thm2_with_an_entry_below_one_passes_vadically():
+    # at q = 2 every integer is q-even, so the CLI accepts (1,-2,3)
+    rel = gen_thm2(Composition((1, -2, 3)), F2)
+    assert str(evaluate_relation(rel, Vadic(T2, 3))[1]) == "ValuationAtLeast(3)"
+
+
 def test_family_relations_keep_their_generators():
-    """thmA/thmB keep generators reduced mod p, zero ones dropped, and
-    still compare, hash and serialize by their terms alone; thm2/thm3 and
-    parsed relations carry none."""
+    """Every family keeps its generators reduced mod p, zero ones dropped,
+    and still compares, hashes and serializes by its terms alone; parsed
+    and search relations carry none."""
     rel = gen_thmA(Composition((2, 4, 6)), F3)
     gens = signed_perm_identity_generators((2, 4, 6))
     assert rel.generators == tuple((c % 3, *rest) for c, *rest in gens)
@@ -322,7 +335,122 @@ def test_family_relations_keep_their_generators():
     rel = gen_thmB(Thm3Config(pairs), F2)
     assert all(c == 1 for c, *_ in rel.generators)
     assert len(rel.generators) < len(doubling_identity_generators(pairs))
-    assert not gen_thm2(Composition((1, 2, 3)), F2).generators
-    assert not gen_thm3(Thm3Config(pairs), F2).generators
-    assert not FormalRelation.from_json_lines(rel.to_json_lines(),
-                                              F2).generators
+    assert gen_thm2(Composition((2, 4, 6)), F3).generators == (
+        (1, None, (2, 4, 6), True),)
+    # p | phi: the base generator (coefficient phi) is dropped, the fused
+    # one kept
+    assert gen_thm3(Thm3Config(((1, 2),)), F2).generators == (
+        (1, None, (2,), False),)
+    assert gen_thm3(Thm3Config(pairs), F2).generators == (
+        (1, None, (3, 3, 2), False), (1, None, (1, 1, 6), False))
+    assert FormalRelation.from_json_lines(rel.to_json_lines(),
+                                          F2).generators is None
+    assert find_relations(SearchScope(F2, T2, 3, 2, 2))[0].generators is None
+
+
+def _family(spec, data):
+    """A thm2/thm3/thmA/thmB relation over spec, drawn from inputs its
+    builder accepts, with repeated doubling entries."""
+    evens = [s for s in range(1, 19) if is_q_even(s, spec)][:5]
+    families = ["thm2", "thmA"] + (["thm3", "thmB"] if spec.p == 2 else [])
+    tag = data.draw(st.sampled_from(families))
+    if tag in ("thm2", "thmA"):
+        depth = data.draw(st.sampled_from([1, 3, 5]))
+        entries = data.draw(st.lists(st.sampled_from(evens), min_size=depth,
+                                     max_size=depth, unique=True))
+        s = Composition(tuple(entries))
+        return gen_thm2(s, spec) if tag == "thm2" else gen_thmA(s, spec)
+    values = data.draw(st.lists(st.sampled_from(evens[:3]), min_size=1,
+                                max_size=2, unique=True))
+    pairs = tuple((s, data.draw(st.integers(1, 4))) for s in values)
+    try:
+        builder = gen_thm3 if tag == "thm3" else gen_thmB
+        return builder(Thm3Config(pairs), spec)
+    except InvalidFamilyInput:
+        return gen_thm3(Thm3Config(tuple((s, 1) for s in values)), spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F3, F4]), st.data())
+def test_term_count_matches_the_expansion(spec, data):
+    """The count read off the generators, without expanding them, is the
+    number of terms left after ``build`` sorts and merges the expansion."""
+    rel = _family(spec, data)
+    count = rel.term_count()
+    assert count == len(FormalRelation.build(
+        expand(rel.generators), rel.tag, spec).terms)
+    assert count == len(rel.terms) == rel.term_count()
+
+
+@pytest.mark.parametrize("rel, count", [
+    (gen_thmA(Composition((3,)), F2), 0),
+    (gen_thmB(Thm3Config(((1, 2),)), F2), 0),
+    (gen_thm3(Thm3Config(((1, 4),)), F2), 3),
+    (gen_thmA(Composition((1, 2, 3)), F2), 12),
+    (gen_thmB(Thm3Config(((3, 3),)), F4), 4),
+], ids=["thmA(3)", "thmB(1:2)", "thm3(1:4)", "thmA(1,2,3)", "thmB(3:3)q4"])
+def test_term_count_of_cancelling_generators(rel, count):
+    # merging like terms mod p cancels or collides whole generators here
+    assert FormalRelation.from_generators(
+        rel.generators, rel.tag, rel.spec).term_count() == count
+    assert len(rel.terms) == count
+
+
+_CARRIERS = {2: (T2, V2), 3: (parse_poly("t", F3), parse_poly("t^2+1", F3)),
+             4: (parse_poly("t", F4), parse_poly("t^2+t+a", F4))}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_thm2(Composition((1, 2, 3)), F2),
+    lambda: gen_thm3(Thm3Config(((1, 2), (3, 2))), F2),
+    lambda: gen_thmA(Composition((2, 4, 6)), F3),
+    lambda: gen_thmA(Composition((3,)), F2),
+    lambda: gen_thmB(Thm3Config(((3, 2),)), F4),
+    lambda: gen_thmB(Thm3Config(((1, 2),)), F2),
+], ids=["thm2", "thm3", "thmA", "thmA-cancelling", "thmB", "thmB-cancelling"])
+def test_terms_are_expanded_only_when_read(build, monkeypatch):
+    """Building a family relation and evaluating it under every carrier
+    never expands its generators; the first read of the terms, through
+    ``terms``, equality, hashing, repr or JSON lines, expands them once."""
+    calls = []
+    real = relations.expand
+    monkeypatch.setattr(relations, "expand",
+                        lambda gens: calls.append(1) or real(gens))
+    rel = build()
+    t, v = _CARRIERS[rel.spec.q]
+    for ev in (TruncatedExact(2), TruncatedExact(3, star=True), Finite(v),
+               Vadic(t, 2), Vadic(v, 1, star=True)):
+        evaluate_relation(rel, ev)
+    assert not calls
+    twin = FormalRelation.build(real(rel.generators), rel.tag, rel.spec)
+    assert rel == twin and len(calls) == 1
+    assert rel.terms == twin.terms and hash(rel) == hash(twin)
+    assert repr(rel) == repr(twin)
+    assert rel.to_json_lines() == twin.to_json_lines()
+    assert rel.term_count() == len(twin.terms)
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F4]), st.data())
+def test_thm3_at_p_dividing_phi_has_only_fused_terms(spec, data):
+    """When p | phi the base term phi * (base multiset) vanishes, so every
+    term of a thm3 instance with base size phi has depth phi - 1."""
+    evens = [s for s in range(1, 19) if is_q_even(s, spec)][:4]
+    values = data.draw(st.lists(st.sampled_from(evens), min_size=1,
+                                max_size=3, unique=True))
+    ks = [data.draw(st.integers(1, 4)) for _ in values]
+    if sum(ks) % 2:
+        ks[0] += 1
+    try:
+        rel = gen_thm3(Thm3Config(tuple(zip(values, ks))), spec)
+    except InvalidFamilyInput:
+        return
+    phi = sum(ks)
+    assert all(len(f) == 1 and len(f[0]) == phi - 1 for _, f in rel.terms)
+
+
+def test_thm3_one_four_is_the_orderings_sum_of_one_one_two():
+    rel = gen_thm3(Thm3Config(((1, 4),)), F2)
+    assert rel.terms == ((1, ((1, 1, 2),)), (1, ((1, 2, 1),)),
+                         (1, ((2, 1, 1),)))
