@@ -8,7 +8,7 @@ D.  A zeta value is the instance h(d, s) = S_d(s), and both run through the
 same chain-sum DP (``zeta.chain_sum``).  The identity checkers evaluate the
 generator form of the relation families, sum of coeff * H(head) * (the sum
 of H over the orderings of a multiset), whose expansion is the term list of
-the formal relations, by the generator evaluator of the thmA/thmB relations
+the formal relations, by the generator evaluator of the family relations
 (``relations.generator_sum``): depth-1 heads through ``mht_sum``, and each
 orderings sum by one DP over sub-multisets (``zeta.orderings_sum``), never
 ordering by ordering.  Passing them over random rings exercises the

@@ -270,8 +270,9 @@ def family_generators(draw):
     spec = draw(st.sampled_from([F2, F3, F4]))
     evens = [s for s in range(-6, 13) if is_q_even(s, spec)]
     if spec.p == 2 and draw(st.booleans()):
-        values = draw(st.lists(st.sampled_from(evens[:8]), min_size=1,
-                               max_size=2, unique=True))
+        values = draw(st.lists(st.sampled_from([s for s in evens
+                                                if abs(s) <= 6]),
+                               min_size=1, max_size=2, unique=True))
         pairs = tuple((s, draw(st.integers(1, 3))) for s in values)
         doubled = [2 * s for s, k in pairs if k > 1]
         if len(set(values + doubled)) < len(values) + len(doubled) or \
