@@ -187,7 +187,11 @@ class FormalRelation:
     coefficients in [1, p-1], and ``evaluate_relation`` sums them; its terms
     are their ``build``, expanded on the first read and kept.  Equality,
     hashing and ``repr`` read ``terms`` and ``tag`` and ``spec`` only, as
-    for a relation given by its terms, whose ``generators`` is None."""
+    for a relation given by its terms, whose ``generators`` is None.  The
+    relation is read-only, so its hash never changes; only the lazy terms
+    are written after construction."""
+
+    __slots__ = ("_terms", "tag", "spec", "generators")
 
     def __init__(self, terms, tag: str, spec: FieldSpec, generators=None):
         if terms is not None:
@@ -195,13 +199,21 @@ class FormalRelation:
                 if not 0 < coeff < spec.q:
                     raise ValueError(
                         f"coefficient {coeff} is outside [1, q-1]")
-        self._terms, self.tag, self.spec = terms, tag, spec
-        self.generators = generators
+        for name, value in (("_terms", terms), ("tag", tag), ("spec", spec),
+                            ("generators", generators)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__qualname__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__qualname__} is read-only")
 
     @property
     def terms(self) -> tuple:
         if self._terms is None:
-            self._terms = _merge(expand(self.generators), self.spec.p)
+            object.__setattr__(self, "_terms", _merge(expand(self.generators),
+                                                      self.spec.p))
         return self._terms
 
     def term_count(self) -> int:
@@ -412,20 +424,13 @@ def generator_sum(ring, generators, value):
     generators, by ``sum_of_products``: a head is the node (None, head) and
     a multiset the node (signed, multiset) of ``zeta._top_terms``; an empty
     head or multiset is no factor."""
-    return sum_of_products(ring, _generator_terms(tuple(generators)), value)
-
-
-@cache
-def _generator_terms(generators: tuple) -> tuple:
-    """The (coeff, nodes) terms of ``generator_sum``, built once per
-    generators tuple: a check or a relation evaluated again reuses them."""
     terms = []
     for coeff, head, multiset, signed in generators:
         nodes = ((None, head),) if head else ()
         if multiset:
             nodes += ((signed, multiset),)
         terms.append((coeff, nodes))
-    return tuple(terms)
+    return sum_of_products(ring, terms, value)
 
 
 @dataclass(frozen=True)

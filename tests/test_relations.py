@@ -432,6 +432,20 @@ def test_terms_are_expanded_only_when_read(build, monkeypatch):
     assert len(calls) == 1
 
 
+def test_formal_relations_are_read_only():
+    """A relation's fields cannot be reassigned or deleted, before or after
+    its lazy terms are expanded, so its hash and equality never change."""
+    lazy = gen_thm2(Composition((1, 2, 3)), F2)
+    given = FormalRelation.build(expand(lazy.generators), "thm2", F2)
+    for rel in (lazy, given):
+        for name in ("terms", "_terms", "tag", "spec", "generators", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rel, name, None)
+        with pytest.raises(AttributeError):
+            del rel.tag
+    assert lazy.terms == given.terms and hash(lazy) == hash(given)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([F2, F4]), st.data())
 def test_thm3_at_p_dividing_phi_has_only_fused_terms(spec, data):
