@@ -255,8 +255,6 @@ def _run_harmonic(args) -> dict:
         inst = random_instance(seed, ring, (args.index_size, args.magma_size),
                                doubling=args.doubling)
         if args.doubling:
-            if not inst.base:
-                continue
             pairs = tuple((s, 2 + (seed + j) % 2)
                           for j, s in enumerate(inst.base))
             residual, ok = check_thmD(inst, pairs)

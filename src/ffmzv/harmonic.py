@@ -5,14 +5,14 @@ families.
 An MHT instance is a table h: D x S -> R over a finite strictly ordered
 index set D; the sum H(s_1,...,s_r) runs over strictly decreasing chains in
 D.  A zeta value is the instance h(d, s) = S_d(s), and both run through the
-same chain-sum DP (``zeta.chain_sum``).  The identity checkers evaluate the
-generator form of the relation families, sum of coeff * H(head) * (the sum
-of H over the orderings of a multiset), whose expansion is the term list of
-the formal relations, by the generator evaluator of the family relations
-(``relations.generator_sum``): depth-1 heads through ``mht_sum``, and each
-orderings sum by one DP over sub-multisets (``zeta.orderings_sum``), never
-ordering by ordering.  Passing them over random rings exercises the
-combinatorics independently of any zeta arithmetic.
+same chain-sum DP (``zeta._top_terms``).  The identity checkers sum the
+generators of the relation families, coeff times a product of nodes, whose
+expansion is the term list of the formal relations, by the same
+``relations.sum_of_products`` as the zeta relations: depth-1 head nodes
+through ``mht_sum``, and each orderings node by one DP over its
+sub-multisets (``mht_orderings_sum``), never ordering by ordering.
+Passing them over random rings exercises the combinatorics independently
+of any zeta arithmetic.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from fractions import Fraction
 from .errors import DoublingLawViolated, InvalidFamilyInput
 from .fields import FieldSpec
 from .relations import (check_doubling_shape, check_perm_shape,
-                        doubling_identity_generators, generator_sum,
-                        reduce_generators, signed_perm_identity_generators)
-from .zeta import chain_sum, orderings_sum
+                        doubling_identity_generators, reduce_generators,
+                        signed_perm_identity_generators, sum_of_products)
+from .zeta import _top_terms
 
 
 class Ring:
@@ -220,22 +220,24 @@ class MHTInstance:
 def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False,
             memo: dict | None = None):
     """Sum over (weakly, when star) decreasing chains in the index set of
-    the product of table values; memo as in ``zeta.chain_sum``, for one
-    instance."""
+    the product of table values; ``memo`` is a store of node tables as in
+    ``zeta._top_terms``, for one instance."""
     _check_magma(inst, s)
-    return chain_sum(s, len(inst.index_set), star, inst.ring, inst.cell,
-                     memo)
+    D = len(inst.index_set)
+    return _top_terms(s, D, star, inst.ring, inst.cell,
+                      {} if memo is None else memo)[D]
 
 
 def mht_orderings_sum(inst: MHTInstance, multiset: tuple[int, ...],
                       star: bool = False, signed: bool = False,
                       memo: dict | None = None):
     """Sum of ``mht_sum`` over the distinct orderings of a nonempty multiset
-    (signed as in ``zeta.orderings_sum``); memo as in ``mht_sum``, and may be
-    the same dict."""
+    (over S_n, signed, when ``signed``, as in ``zeta._top_terms``); memo as
+    in ``mht_sum``, and may be the same dict."""
     _check_magma(inst, multiset)
-    return orderings_sum(multiset, len(inst.index_set), star, inst.ring,
-                         inst.cell, signed, memo)
+    D = len(inst.index_set)
+    return _top_terms(multiset, D, star, inst.ring, inst.cell,
+                      {} if memo is None else memo, signed)[D]
 
 
 def _check_magma(inst: MHTInstance, s):
@@ -247,7 +249,7 @@ def _check_magma(inst: MHTInstance, s):
 
 
 def _node_values(inst: MHTInstance):
-    """The value callback of ``relations.generator_sum`` on an instance: a
+    """The node values of ``relations.sum_of_products`` on an instance: a
     head node by ``mht_sum``, an orderings node by ``mht_orderings_sum``,
     with one memo for the whole sum."""
     memo = {}
@@ -264,9 +266,9 @@ def check_thmC(inst: MHTInstance, s: tuple[int, ...]):
     """Residual of the signed-permutation product identity; zero for every
     instance."""
     check_perm_shape(s)
-    residual = generator_sum(inst.ring,
-                             signed_perm_identity_generators(tuple(s)),
-                             _node_values(inst))
+    residual = sum_of_products(inst.ring,
+                               signed_perm_identity_generators(tuple(s)),
+                               _node_values(inst))
     return residual, residual == inst.ring.zero()
 
 
@@ -283,7 +285,7 @@ def check_thmD(inst: MHTInstance, pairs):
                 hs = inst.h[(d, s)]
                 if inst.h.get((d, 2 * s)) != ring.mul(hs, hs):
                     raise DoublingLawViolated(f"h({d},{2*s}) != h({d},{s})^2")
-    residual = generator_sum(
+    residual = sum_of_products(
         ring, reduce_generators(doubling_identity_generators(tuple(pairs)), 2),
         _node_values(inst))
     return residual, residual == ring.zero()

@@ -11,14 +11,16 @@ Family tags (also the CLI --family names):
   thmB -- the thm3 sum rewritten likewise (characteristic 2); exact at
           every truncation level.
 
-Each family is described once, by generators: a coefficient, a depth-1 head
-factor or none, and a multiset summed over its orderings.  A family
-relation keeps its generators, and it is evaluated by them
-(``generator_sum``), like the generic harmonic-sum checkers: one orderings
-sum per multiset, by the chain-sum DP over its sub-multisets, never one
-term per ordering.  Its term list, their expansion, is built only when
-read, for serialization and equality; the report's term count comes from
-the generators.
+Each family is described once, by generators: a coefficient times a
+product of nodes, each node the (kind, entries) pair of
+``zeta._top_terms``: kind None a tuple, False the distinct orderings of a
+multiset, True the signed sum over S_n of distinct entries.  Every relation
+is summed by its generators (``sum_of_products``), each node the P[D] of
+its table in the process store of the chain-sum DP: one orderings sum per
+multiset, never one term per ordering.  A relation given by its terms
+reads as one tuple node per factor.  A family relation's term list, their
+expansion, is built only when read, for serialization and equality; the
+report's term count comes from the generators.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import product
 from math import factorial, prod
 
 from .errors import InvalidEvaluator, InvalidFamilyInput, ParseError
@@ -36,8 +39,7 @@ from .poly import Poly
 from .power_sums import (_exact_frac, _residue_sum, default_vanish_cap,
                          vanish_degree)
 from .residue import ResidueRing
-from .zeta import (Composition, _truncated_frac, exact_bound, exact_ring,
-                   finite_mzv, vadic_mzv_auto)
+from .zeta import Composition, exact_bound, exact_ring
 
 # -- family generators and their terms (integer coefficients, plain tuples) -----
 
@@ -54,37 +56,46 @@ def _signed_orders(entries: tuple[int, ...]):
             yield (-sign if i % 2 else sign), (e,) + rest
 
 
-# A generator (coeff, head, multiset, signed) stands for coeff times the
-# factor head (a tuple, or None) times the sum over the distinct orderings
-# of the multiset; when signed, over all of S_n weighted by the sign of the
-# permutation of the given order (entries distinct).  ``expand`` writes it
-# out as raw terms (coeff, factor-tuples), one per ordering.
+# A generator (coeff, nodes) stands for coeff times the product of its
+# nodes' sums: a node (kind, entries) is the tuple entries when kind is
+# None, the sum over the distinct orderings of the multiset entries when
+# False, and the sum over all of S_n weighted by the sign of the permutation
+# of the given order (entries distinct) when True.  ``expand`` writes it out
+# as raw terms (coeff, factor-tuples), one per choice of an ordering of
+# each node.
+
+
+def _orders(node) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign, ordering) over the orderings a node sums."""
+    kind, entries = node
+    if kind is None:
+        return [(1, entries)]
+    if kind:
+        return list(_signed_orders(entries))
+    return [(1, order) for order in _reorders(entries)]
 
 
 def expand(generators) -> list[tuple[int, tuple]]:
-    """Raw terms of generators, one per ordering of each multiset."""
-    terms = []
-    for coeff, head, multiset, signed in generators:
-        head = (head,) if head else ()
-        if not multiset:
-            terms.append((coeff, head))
-        elif signed:
-            terms.extend((coeff * sign, head + (order,))
-                         for sign, order in _signed_orders(multiset))
-        else:
-            terms.extend((coeff, head + (order,))
-                         for order in _reorders(multiset))
-    return terms
+    """Raw terms of generators, one per choice of orderings of the nodes."""
+    return [(coeff * prod(sign for sign, _ in picks),
+             tuple(order for _, order in picks))
+            for coeff, nodes in generators
+            for picks in product(*map(_orders, nodes))]
 
 
 def reduce_generators(generators, p: int) -> tuple:
     """The generators with coefficients reduced mod p, zero ones dropped."""
-    return tuple((c % p, *rest) for c, *rest in generators if c % p)
+    return tuple((c % p, nodes) for c, nodes in generators if c % p)
+
+
+def _head(e: int, rest: tuple[int, ...], kind: bool) -> tuple:
+    """The nodes of the depth-1 factor (e,) times the sum of ``rest``."""
+    return ((None, (e,)),) + (((kind, rest),) if rest else ())
 
 
 def signed_perm_generators(entries: tuple[int, ...]) -> list[tuple]:
     """Alternating permutation sum."""
-    return [(1, None, tuple(entries), True)]
+    return [(1, ((True, tuple(entries)),))]
 
 
 def signed_perm_identity_generators(entries: tuple[int, ...]) -> list[tuple]:
@@ -92,8 +103,9 @@ def signed_perm_identity_generators(entries: tuple[int, ...]) -> list[tuple]:
     truncation level."""
     n = len(entries)
     return signed_perm_generators(entries) + [
-        (-1 * (-1) ** (n - 1 - j), (entries[j],), entries[:j] + entries[j + 1:],
-         True) for j in range(n)]
+        (-1 * (-1) ** (n - 1 - j),
+         _head(entries[j], entries[:j] + entries[j + 1:], True))
+        for j in range(n)]
 
 
 def _reorders(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -136,8 +148,8 @@ def doubling_generators(pairs) -> list[tuple]:
     base multiset with two copies of s fused into 2s, plus phi times the
     re-orders of the base multiset itself."""
     s0, phi = _doubling_base(pairs)
-    return [(1, None, _remove(s0, s, 2) + (2 * s,), False)
-            for s, k in pairs if k > 1] + [(phi, None, s0, False)]
+    return [(1, ((False, _remove(s0, s, 2) + (2 * s,)),))
+            for s, k in pairs if k > 1] + [(phi, ((False, s0),))]
 
 
 def doubling_identity_generators(pairs) -> list[tuple]:
@@ -153,12 +165,13 @@ def doubling_identity_generators(pairs) -> list[tuple]:
         for i, (si, ki) in enumerate(pairs):
             if i != j and ki > 1:
                 fused = _remove(s0, si, 2) + (2 * si,)
-                gens.append((-1, (sj,), _remove(fused, sj), False))
+                gens.append((-1, _head(sj, _remove(fused, sj), False)))
         if kj > 2:
-            gens.append((-1, (sj,), _remove(s0, sj, 3) + (2 * sj,), False))
+            gens.append((-1, _head(sj, _remove(s0, sj, 3) + (2 * sj,),
+                                   False)))
         if kj > 1:
-            gens.append((-1, (2 * sj,), _remove(s0, sj, 2), False))
-        gens.append((-phi, (sj,), _remove(s0, sj), False))
+            gens.append((-1, _head(2 * sj, _remove(s0, sj, 2), False)))
+        gens.append((-phi, _head(sj, _remove(s0, sj), False)))
     return gens
 
 
@@ -183,15 +196,16 @@ class FormalRelation:
     sorts the factors within each term, combines like terms and drops
     zero-coefficient and identity factors.
 
-    A family relation (``from_generators``) keeps its ``generators``,
-    coefficients in [1, p-1], and ``evaluate_relation`` sums them; its terms
-    are their ``build``, expanded on the first read and kept.  Equality,
-    hashing and ``repr`` read ``terms`` and ``tag`` and ``spec`` only, as
-    for a relation given by its terms, whose ``generators`` is None.  The
-    relation is read-only, so its hash never changes; only the lazy terms
-    are written after construction."""
+    Every relation has ``generators``, coefficients in [1, q-1], and
+    ``evaluate_relation`` sums them.  A family relation
+    (``from_generators``) is given by them, reduced mod p, and its terms are
+    their ``build``; a relation given by its terms reads as one tuple node
+    per factor.  Whichever form was not given is derived on its first read
+    and kept.  Equality, hashing and ``repr`` read ``terms`` and ``tag``
+    and ``spec`` only.  The relation is read-only, so its hash never
+    changes; only the derived form is written after construction."""
 
-    __slots__ = ("_terms", "tag", "spec", "generators")
+    __slots__ = ("_terms", "tag", "spec", "_generators")
 
     def __init__(self, terms, tag: str, spec: FieldSpec, generators=None):
         if terms is not None:
@@ -200,7 +214,7 @@ class FormalRelation:
                     raise ValueError(
                         f"coefficient {coeff} is outside [1, q-1]")
         for name, value in (("_terms", terms), ("tag", tag), ("spec", spec),
-                            ("generators", generators)):
+                            ("_generators", generators)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -212,29 +226,38 @@ class FormalRelation:
     @property
     def terms(self) -> tuple:
         if self._terms is None:
-            object.__setattr__(self, "_terms", _merge(expand(self.generators),
+            object.__setattr__(self, "_terms", _merge(expand(self._generators),
                                                       self.spec.p))
         return self._terms
 
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            object.__setattr__(self, "_generators", tuple(
+                (coeff, tuple((None, f) for f in factors))
+                for coeff, factors in self._terms))
+        return self._generators
+
     def term_count(self) -> int:
         """``len(terms)``, counted from the generators while the terms are
-        unexpanded.  Terms of two generators can merge only when their heads
-        and multisets agree up to order, so a generator alone in its group
-        has one term per distinct ordering of its multiset, and only the
-        groups of several are expanded."""
+        unexpanded.  Terms of two generators can merge only when their nodes
+        agree up to order, so a generator alone in its group, with at most
+        one node of several orderings, has one term per choice of
+        orderings, and only the other groups are expanded."""
         if self._terms is not None:
             return len(self._terms)
         groups: dict[tuple, list] = {}
-        for gen in self.generators:
-            _, head, multiset, _ = gen
-            key = tuple(sorted(f for f in (head, tuple(sorted(multiset))) if f))
+        for gen in self._generators:
+            key = tuple(sorted(tuple(sorted(entries)) for _, entries in gen[1]))
             groups.setdefault(key, []).append(gen)
         count = 0
         for gens in groups.values():
-            if len(gens) == 1:
-                multiset = gens[0][2]
-                count += factorial(len(multiset)) // prod(
-                    map(factorial, Counter(multiset).values()))
+            counts = [1 if kind is None else
+                      factorial(len(entries)) // prod(
+                          map(factorial, Counter(entries).values()))
+                      for kind, entries in gens[0][1]]
+            if len(gens) == 1 and sum(c > 1 for c in counts) <= 1:
+                count += prod(counts)
             else:
                 count += len(_merge(expand(gens), self.spec.p))
         return count
@@ -401,36 +424,22 @@ def is_trivial_zero(s: Composition, v: Poly, spec: FieldSpec) -> bool:
 # -- evaluation ------------------------------------------------------------------
 
 
-def sum_of_products(ring, terms, value):
-    """Sum of coeff * prod value(factor) over (coeff, factors) terms, in a
+def sum_of_products(ring, generators, value):
+    """Sum of coeff * prod value(node) over (coeff, nodes) generators, in a
     ring with the zero/one/add/mul/scale protocol; value is called once per
-    distinct factor, and an empty product is one."""
+    distinct node, and an empty product is one."""
     values = {}
     acc = ring.zero()
-    for coeff, factors in terms:
+    for coeff, nodes in generators:
         prod = None
-        for factor in factors:
-            x = values.get(factor)
+        for node in nodes:
+            x = values.get(node)
             if x is None:
-                x = values[factor] = value(factor)
+                x = values[node] = value(node)
             prod = x if prod is None else ring.mul(prod, x)
         acc = ring.add(acc, ring.scale(ring.one() if prod is None else prod,
                                        coeff))
     return acc
-
-
-def generator_sum(ring, generators, value):
-    """Sum of coeff * value(head node) * value(orderings node) over
-    generators, by ``sum_of_products``: a head is the node (None, head) and
-    a multiset the node (signed, multiset) of ``zeta._top_terms``; an empty
-    head or multiset is no factor."""
-    terms = []
-    for coeff, head, multiset, signed in generators:
-        nodes = ((None, head),) if head else ()
-        if multiset:
-            nodes += ((signed, multiset),)
-        terms.append((coeff, nodes))
-    return sum_of_products(ring, terms, value)
 
 
 @dataclass(frozen=True)
@@ -444,16 +453,10 @@ class TruncatedExact:
             # empty sum, and a vacuous Zero
             raise InvalidEvaluator(f"D={self.D} must be >= 1")
 
-    def ring(self, spec: FieldSpec):
-        return exact_ring(spec)
-
-    def table(self, spec: FieldSpec):
-        """(D, h): the level the value sums below and the table h(d, k) of
-        its chain-sum DP."""
-        return self.D, partial(_exact_frac, spec)
-
-    def value(self, s: Composition, spec: FieldSpec):
-        return _truncated_frac(self.D, s, self.star, spec)
+    def carrier(self, spec: FieldSpec):
+        """(ring, D, h): the ring of the value, the level it sums below and
+        the table h(d, k) of its chain-sum DP."""
+        return exact_ring(spec), self.D, partial(_exact_frac, spec)
 
     def verdict(self, acc):
         value = acc.to_ratfn()
@@ -465,15 +468,9 @@ class Finite:
     v: Poly
     star: bool = False
 
-    def ring(self, spec: FieldSpec):
-        return ResidueRing(self.v, 1)
-
-    def table(self, spec: FieldSpec):
-        return (self.v.degree(),
+    def carrier(self, spec: FieldSpec):
+        return (ResidueRing(self.v, 1), self.v.degree(),
                 lambda d, k: _residue_sum(spec, d, k, self.v, 1))
-
-    def value(self, s: Composition, spec: FieldSpec):
-        return finite_mzv(self.v, s, self.star, spec)
 
     def verdict(self, acc):
         return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
@@ -488,15 +485,9 @@ class Vadic:
     N: int
     star: bool = False
 
-    def ring(self, spec: FieldSpec):
-        return ResidueRing(self.v, self.N)
-
-    def table(self, spec: FieldSpec):
-        return (exact_bound(self.v, self.N),
+    def carrier(self, spec: FieldSpec):
+        return (ResidueRing(self.v, self.N), exact_bound(self.v, self.N),
                 lambda d, k: _residue_sum(spec, d, k, self.v, self.N))
-
-    def value(self, s: Composition, spec: FieldSpec):
-        return vadic_mzv_auto(self.v, s, self.N, self.star, spec).value
 
     def verdict(self, acc):
         # a nonzero residue mod v^N has valuation < N
@@ -520,38 +511,25 @@ class Verdict:
         return self.kind in ("Zero", "ValuationAtLeast")
 
 
-_residue_factor_cache: dict[tuple, object] = {}  # (spec, evaluator, factor)
+# another name for the store ``_factor_value`` reads, kept because
+# perfbench's tracer reads its size by this name
+_residue_factor_cache = zeta._trunc_cache
 
 
-def _factor_value(factor: tuple[int, ...], evaluator, spec: FieldSpec):
-    key = (spec, evaluator, factor)
-    hit = _residue_factor_cache.get(key)
-    if hit is None:
-        hit = _residue_factor_cache[key] = evaluator.value(Composition(factor),
-                                                           spec)
-    return hit
+def _factor_value(node, D: int, star: bool, ring, h):
+    """P[D] of the table of a node, (kind, entries) as in
+    ``zeta._top_terms``, in the process store ``zeta._trunc_cache``."""
+    kind, entries = node
+    return zeta._top_terms(entries, D, star, ring, h, zeta._trunc_cache,
+                           kind)[D]
 
 
 def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:
-    """Sum of coeff * product of factor values in the evaluator's carrier;
-    returns (value, verdict).  A relation with generators is summed by them:
-    each head is a factor value, each multiset the P[D] of its
-    ``zeta._top_terms`` node in the process table store; any other relation
-    by its terms."""
+    """Sum of coeff * product of node values over the relation's
+    generators, in the evaluator's carrier; returns (value, verdict)."""
     if not isinstance(evaluator, (TruncatedExact, Finite, Vadic)):
         raise InvalidEvaluator(f"unknown evaluator {evaluator!r}")
-    spec = rel.spec
-    ring = evaluator.ring(spec)
-    if rel.generators is None:
-        return evaluator.verdict(sum_of_products(
-            ring, rel.terms, lambda f: _factor_value(f, evaluator, spec)))
-    D, h = evaluator.table(spec)
-
-    def value(node):
-        kind, entries = node
-        if kind is None:
-            return _factor_value(entries, evaluator, spec)
-        return zeta._top_terms(entries, D, evaluator.star, ring, h,
-                               zeta._trunc_cache, kind)[D]
-
-    return evaluator.verdict(generator_sum(ring, rel.generators, value))
+    ring, D, h = evaluator.carrier(rel.spec)
+    return evaluator.verdict(sum_of_products(
+        ring, rel.generators,
+        lambda node: _factor_value(node, D, evaluator.star, ring, h)))

@@ -7,9 +7,10 @@ the others (a finite value is the v-adic partial sum at N = 1 and
 D = deg v).  One step (``_step``) of one dynamic program over the top index
 serves every carrier and the generic rings of ``harmonic.mht_sum``.
 ``_top_terms`` walks it over a tuple's suffixes, or over the sub-multisets
-of a multiset for ``orderings_sum``, growing each node's table of prefix
-sums with D; the tables are keyed by the ring, and the zeta carriers keep
-theirs in ``_trunc_cache`` for the process.
+of a multiset for the orderings nodes of the relation generators, growing
+each node's table of prefix sums with D; the tables are keyed by the ring,
+and the zeta values and the relations keep theirs in ``_trunc_cache`` for
+the process.
 """
 
 from __future__ import annotations
@@ -174,26 +175,9 @@ def _step(sums, top_row, star, ring, start=0):
                     else sums[start:] if start else sums))
 
 
-def chain_sum(entries, D, star, ring, h, memo=None):
-    """Sum over chains D > d_1 > ... > d_r >= 0 (weak inequalities when
-    star) of prod h(d_i, entries[i]); ``memo`` holds the tables as in
-    ``_top_terms``."""
-    return _top_terms(entries, D, star, ring, h,
-                      {} if memo is None else memo)[D]
-
-
-def orderings_sum(entries, D, star, ring, h, signed=False, memo=None):
-    """Sum of ``chain_sum`` over the distinct orderings of the nonempty
-    multiset ``entries`` (over S_n, signed, when ``signed``, as in
-    ``_top_terms``), by one DP over its sub-multisets rather than one chain
-    sum per ordering; memo as in ``chain_sum``."""
-    return _top_terms(entries, D, star, ring, h,
-                      {} if memo is None else memo, signed)[D]
-
-
-# (ring, star, (None, suffix)) -> the suffix's table in ``_top_terms``; the
-# ring is ``exact_ring(spec)`` for F_q(t) and the ResidueRing for A/(v^N),
-# one object each
+# (ring, star, node) -> the node's table in ``_top_terms``; the ring is
+# ``exact_ring(spec)`` for F_q(t) and the ResidueRing for A/(v^N), one
+# object each
 _trunc_cache: dict[tuple, list] = {}
 
 

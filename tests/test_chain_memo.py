@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    RationalRing, ResidueRing, TruncatedExact,
                    TruncationConfig, Vadic, ZModRing, evaluate_relation,
-                   parse_poly, relations, zeta)
+                   parse_poly, zeta)
 from ffmzv.power_sums import _exact_frac, _residue_sum
 from ffmzv.relations import sum_of_products
-from ffmzv.zeta import (_top_terms, _truncated_frac, chain_sum, exact_bound,
-                        exact_ring, orderings_sum, vadic_mzv)
+from ffmzv.zeta import (_top_terms, _truncated_frac, exact_bound, exact_ring,
+                        vadic_mzv)
 
 F2 = FieldSpec.parse("q=2")
 F3 = FieldSpec.parse("q=3")
@@ -82,8 +82,8 @@ def test_shared_memo_matches_a_fresh_dp(carrier, seed, star, factors):
     tables = {}
     for f in factors:
         assert table(f, tables) == table(f, {}), f
-        assert canon(chain_sum(f, D, star, ring, h, tables)) == \
-            canon(chain_sum(f, D, star, ring, h)), f
+        assert canon(_top_terms(f, D, star, ring, h, tables)[D]) == \
+            canon(_top_terms(f, D, star, ring, h, {})[D]), f
     # every stored suffix holds its own fresh table: nothing was mutated
     for (key_ring, key_star, (kind, suffix)), sums in tables.items():
         assert key_ring is ring and key_star == star and kind is None
@@ -105,13 +105,12 @@ def test_memo_holds_every_suffix_once():
 
 def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
     """A relation whose factors share suffixes, evaluated star and then
-    strict with empty factor caches: each value must be the memo-less one,
+    strict with an empty table store: each value must be the memo-less one,
     and the two must differ (a star table answering a strict factor would
     show).  The suffixes (1, 2) and (2,) are evaluated as factors before
     (3, 1, 2) extends them, so a caller that mutated a returned list would
     show too."""
     monkeypatch.setattr(zeta, "_trunc_cache", {})
-    monkeypatch.setattr(relations, "_residue_factor_cache", {})
     rel = FormalRelation.build([(1, ((3, 1, 2),)), (1, ((1, 2),)),
                                 (1, ((2,), (3, 1, 2)))], "custom", F2)
     assert [f for _, fs in rel.terms for f in fs][:3] == [(1, 2), (2,),
@@ -125,7 +124,7 @@ def test_star_and_strict_evaluations_never_share_a_memo(monkeypatch):
              _residue_table(F2, V2, 1))]:
         expected = {star: make(star).verdict(sum_of_products(
             ring, rel.terms,
-            lambda f, star=star: chain_sum(f, D, star, ring, h)))[0]
+            lambda f, star=star: _top_terms(f, D, star, ring, h, {})[D]))[0]
             for star in (True, False)}
         assert expected[True] != expected[False]
         for star in (True, False):
@@ -193,8 +192,8 @@ def _stored(spec, v, entries, D, N, star, kind, stores):
     orderings sum reads off ``stores``, one store per carrier."""
     if kind is not None:
         ring, h = _ring_and_table(spec, v, N)
-        return orderings_sum(entries, D, star, ring, h, kind,
-                             stores.setdefault(N, {})), None
+        return _top_terms(entries, D, star, ring, h, stores.setdefault(N, {}),
+                          kind)[D], None
     if v is None:
         return _truncated_frac(D, Composition(entries), star, spec), None
     report = vadic_mzv(v, Composition(entries), TruncationConfig(D, N, star),

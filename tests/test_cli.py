@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffmzv import FieldSpec, RationalFn, monic_polys
-from ffmzv.cli import main, parse_args
+from ffmzv import FieldSpec, RationalFn, monic_polys, random_instance
+from ffmzv.cli import _make_ring, main, parse_args
+from ffmzv.errors import InvalidFamilyInput
 
 
 def run(capsys, *argv):
@@ -93,6 +95,27 @@ def test_harmonic_command(capsys):
     code, out = run(capsys, "harmonic", "--ring", "polymod:2:4", "--checks",
                     "5", "--doubling")
     assert code == 0 and json.loads(out)["failures"] == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["zmod:2", "zmod:12", "polymod:2:3", "polymod:3:2",
+                        "rationals", "gf:2", "gf:4", "gf:3"]),
+       st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 8))
+def test_doubling_instances_keep_a_base_exponent(ring_text, seed, index_size,
+                                                 magma_size):
+    """``harmonic --doubling`` checks the doubling identity on the base
+    exponents of each instance.  Over the four ring kinds the CLI reads and
+    every magma size it accepts (>= 1), the base is never empty, so no
+    check can pass vacuously; a ring not of characteristic 2 is refused."""
+    ring = _make_ring(ring_text)
+    if ring.char != 2:
+        with pytest.raises(InvalidFamilyInput):
+            random_instance(seed, ring, (index_size, magma_size),
+                            doubling=True)
+        return
+    inst = random_instance(seed, ring, (index_size, magma_size),
+                           doubling=True)
+    assert inst.base and set(inst.base) <= set(inst.magma)
 
 
 def test_primes_command(capsys):

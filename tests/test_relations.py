@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
                    Thm3Config, TruncatedExact, Vadic, evaluate_relation,
-                   gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
-                   RationalRing, ResidueRing, is_trivial_zero, parse_poly)
+                   finite_mzv, gen_thm2, gen_thm3, gen_thmA, gen_thmB,
+                   is_q_even, RationalRing, ResidueRing, is_trivial_zero,
+                   parse_poly, truncated_mzv, vadic_mzv_auto)
 from ffmzv import relations
 from ffmzv.errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from ffmzv.poly import Poly
@@ -296,24 +297,72 @@ def family_generators(draw):
     return spec, gens
 
 
+@st.composite
+def parsed_terms(draw):
+    """(spec, raw terms) of a relation given by JSON lines: products of up
+    to three factors, with repeats, and always zeta(1) zeta(1) zeta(2,1)."""
+    spec = draw(st.sampled_from([F2, F3, F4]))
+    factor = st.sampled_from([(1,), (2,), (2, 1), (1, -1), (3, 1, 2)])
+    terms = [(1, ((1,), (1,), (2, 1)))] + draw(st.lists(st.tuples(
+        st.integers(1, spec.p - 1),
+        st.lists(factor, min_size=1, max_size=3).map(tuple)), max_size=3))
+    return spec, terms
+
+
+def _public_value(ev, factor, spec):
+    s = Composition(factor)
+    if isinstance(ev, TruncatedExact):
+        return truncated_mzv(ev.D, s, ev.star, spec)
+    if isinstance(ev, Finite):
+        return finite_mzv(ev.v, s, ev.star, spec)
+    return vadic_mzv_auto(ev.v, s, ev.N, ev.star, spec).value
+
+
+def _term_by_term(terms, ev, spec):
+    """Sum of coeff times the product of the public values of the factors,
+    one term at a time, each coefficient added as |coeff mod p| copies."""
+    if isinstance(ev, TruncatedExact):
+        zero, one = RationalFn.zero(spec), RationalFn.one(spec)
+    else:
+        ring = ResidueRing(ev.v, ev.N if isinstance(ev, Vadic) else 1)
+        zero, one = ring.zero(), ring.one()
+    values = {}
+    acc = zero
+    for coeff, factors in terms:
+        x = one
+        for f in factors:
+            if f not in values:
+                values[f] = _public_value(ev, f, spec)
+            x = x * values[f]
+        for _ in range(coeff % spec.p):
+            acc = acc + x
+    return acc
+
+
 @settings(max_examples=60, deadline=None)
-@given(family_generators(), st.data())
+@given(st.one_of(family_generators().map(lambda case: (*case, True)),
+                 parsed_terms().map(lambda case: (*case, False))), st.data())
 def test_generator_sums_equal_term_sums(case, data):
-    """A relation made from its generators is evaluated by them, one
-    orderings sum per multiset; the same relation built from their terms
-    by its terms, one factor value per ordering.  The values must agree,
-    for entries <= 0 too, whose power sums the orderings walk reads
-    alike."""
-    spec, gens = case
-    by_generators = FormalRelation.from_generators(gens, "custom", spec)
-    by_terms = FormalRelation.build(expand(gens), "custom", spec)
-    assert by_terms.generators is None
-    evaluators = _evaluators(spec)
-    for ev in data.draw(st.lists(st.sampled_from(evaluators), min_size=1,
-                                 max_size=4, unique=True)):
-        got = evaluate_relation(by_generators, ev)
-        want = evaluate_relation(by_terms, ev)
-        assert got[0] == want[0] and got[1] == want[1], (gens, ev)
+    """A relation is evaluated by its generators: a family's with one
+    orderings sum per multiset, a parsed one's with one tuple node per
+    factor.  The value must be the term-by-term sum of the public zeta
+    values over its expansion (the parsed terms as given), for entries <= 0
+    too, whose power sums the orderings walk reads alike."""
+    spec, given, is_family = case
+    if is_family:
+        rel = FormalRelation.from_generators(given, "custom", spec)
+        terms = expand(given)
+    else:
+        rel = FormalRelation.from_json_lines("\n".join(
+            json.dumps({"coeff": [c], "factors": [list(f) for f in fs]})
+            for c, fs in given), spec)
+        terms = given
+    for ev in data.draw(st.lists(st.sampled_from(_evaluators(spec)),
+                                 min_size=1, max_size=4, unique=True)):
+        value, verdict = evaluate_relation(rel, ev)
+        want = _term_by_term(terms, ev, spec)
+        assert value == want, (given, ev)
+        assert verdict.passed == want.is_zero(), (given, ev)
 
 
 def test_thm2_with_an_entry_below_one_passes_vadically():
@@ -323,30 +372,38 @@ def test_thm2_with_an_entry_below_one_passes_vadically():
 
 
 def test_family_relations_keep_their_generators():
-    """Every family keeps its generators reduced mod p, zero ones dropped,
-    and still compares, hashes and serializes by its terms alone; parsed
-    and search relations carry none."""
+    """Every family keeps its generators, (coeff, nodes), reduced mod p,
+    zero ones dropped, and still compares, hashes and serializes by its
+    terms alone; parsed and search relations read as one tuple node per
+    factor."""
     rel = gen_thmA(Composition((2, 4, 6)), F3)
     gens = signed_perm_identity_generators((2, 4, 6))
-    assert rel.generators == tuple((c % 3, *rest) for c, *rest in gens)
+    assert rel.generators == tuple((c % 3, nodes) for c, nodes in gens)
+    assert rel.generators[1] == (2, ((None, (2,)), (True, (4, 6))))
     bare = FormalRelation.build(expand(gens), "thmA", F3)
     assert rel == bare and hash(rel) == hash(bare) and repr(rel) == repr(bare)
     assert rel.to_json_lines() == bare.to_json_lines()
     pairs = ((1, 2), (3, 2))
     rel = gen_thmB(Thm3Config(pairs), F2)
-    assert all(c == 1 for c, *_ in rel.generators)
+    assert all(c == 1 for c, _ in rel.generators)
     assert len(rel.generators) < len(doubling_identity_generators(pairs))
     assert gen_thm2(Composition((2, 4, 6)), F3).generators == (
-        (1, None, (2, 4, 6), True),)
+        (1, ((True, (2, 4, 6)),)),)
     # p | phi: the base generator (coefficient phi) is dropped, the fused
     # one kept
     assert gen_thm3(Thm3Config(((1, 2),)), F2).generators == (
-        (1, None, (2,), False),)
+        (1, ((False, (2,)),)),)
     assert gen_thm3(Thm3Config(pairs), F2).generators == (
-        (1, None, (3, 3, 2), False), (1, None, (1, 1, 6), False))
-    assert FormalRelation.from_json_lines(rel.to_json_lines(),
-                                          F2).generators is None
-    assert find_relations(SearchScope(F2, T2, 3, 2, 2))[0].generators is None
+        (1, ((False, (3, 3, 2)),)), (1, ((False, (1, 1, 6)),)))
+    parsed = FormalRelation.from_json_lines(
+        '{"coeff": [1], "factors": [[1], [1], [2, 1]]}\n'
+        '{"coeff": [1], "factors": [[3]]}', F2)
+    assert parsed.generators == (
+        (1, ((None, (1,)), (None, (1,)), (None, (2, 1)))),
+        (1, ((None, (3,)),)))
+    found = find_relations(SearchScope(F2, T2, 3, 2, 2))[0]
+    assert found.generators == tuple(
+        (c, tuple((None, f) for f in fs)) for c, fs in found.terms)
 
 
 def _family(spec, data):
