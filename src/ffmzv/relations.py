@@ -241,9 +241,9 @@ class FormalRelation:
     def term_count(self) -> int:
         """``len(terms)``, counted from the generators while the terms are
         unexpanded.  Terms of two generators can merge only when their nodes
-        agree up to order, so a generator alone in its group, with at most
-        one node of several orderings, has one term per choice of
-        orderings, and only the other groups are expanded."""
+        agree up to order, so a family generator alone in its group (its
+        nodes a depth-1 head and one orderings node at most) has one term
+        per ordering, and only the groups of several are expanded."""
         if self._terms is not None:
             return len(self._terms)
         groups: dict[tuple, list] = {}
@@ -252,12 +252,11 @@ class FormalRelation:
             groups.setdefault(key, []).append(gen)
         count = 0
         for gens in groups.values():
-            counts = [1 if kind is None else
-                      factorial(len(entries)) // prod(
-                          map(factorial, Counter(entries).values()))
-                      for kind, entries in gens[0][1]]
-            if len(gens) == 1 and sum(c > 1 for c in counts) <= 1:
-                count += prod(counts)
+            if len(gens) == 1:
+                count += prod(1 if kind is None else
+                              factorial(len(entries)) // prod(
+                                  map(factorial, Counter(entries).values()))
+                              for kind, entries in gens[0][1])
             else:
                 count += len(_merge(expand(gens), self.spec.p))
         return count
