@@ -320,7 +320,7 @@ def _public_value(ev, factor, spec):
 
 def _term_by_term(terms, ev, spec):
     """Sum of coeff times the product of the public values of the factors,
-    one term at a time, each coefficient added as |coeff mod p| copies."""
+    one term at a time, each term added (coeff mod p) times."""
     if isinstance(ev, TruncatedExact):
         zero, one = RationalFn.zero(spec), RationalFn.one(spec)
     else:
