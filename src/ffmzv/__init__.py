@@ -21,8 +21,8 @@ from .relations import (Finite, FormalRelation, Thm3Config, TruncatedExact,
                         gen_thmA, gen_thmB, is_q_even, is_trivial_zero)
 from .residue import (AtLeast, ResidueElem, ResidueRing, poly_inv_mod,
                       v_valuation)
-from .search import (SearchScope, ValueVector, compare_with_universal,
-                     enumerate_tuples, find_relations, value_matrix)
+from .search import (SearchScope, compare_with_universal, enumerate_tuples,
+                     find_relations, value_matrix)
 from .zeta import (Composition, StabilizationReport, TruncationConfig,
                    finite_mzv, parse_composition, truncated_mzv, vadic_mzv,
                    vadic_mzv_auto)

@@ -10,6 +10,8 @@ never floats).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -249,6 +251,10 @@ def _run_harmonic(args) -> dict:
                         ("--magma-size", args.magma_size)):
         if value < 1:
             raise ParseError(f"{flag} must be >= 1, got {value}")
+    if not args.doubling and args.magma_size < 3:
+        raise ParseError(f"--magma-size must be >= 3 without --doubling, got "
+                         f"{args.magma_size}: the depth-1 signed-permutation "
+                         f"identity is x - x, true for every table")
     failures = []
     for i in range(args.checks):
         seed = args.seed + i
@@ -259,9 +265,7 @@ def _run_harmonic(args) -> dict:
                           for j, s in enumerate(inst.base))
             residual, ok = check_thmD(inst, pairs)
         else:
-            depth = min(len(inst.magma) | 1, 3)
-            s = tuple(inst.magma[:depth])
-            residual, ok = check_thmC(inst, s)
+            residual, ok = check_thmC(inst, inst.magma[:3])
         if not ok:
             failures.append({"seed": seed, "residual": ring.to_str(residual),
                              "instance": inst.to_json(seed)})
@@ -298,8 +302,9 @@ def emit_report(result: dict, args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        text = "\n".join(",".join(f'"{c}"' if "," in c else c for c in row)
-                         for row in _csv_rows(result)) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_csv_rows(result))
+        text = buf.getvalue()
     else:
         text = "".join(f"{k}: {result[k]}\n" for k in sorted(result))
     if args.out:

@@ -8,11 +8,10 @@ D.  A zeta value is the instance h(d, s) = S_d(s), and both run through the
 same chain-sum DP (``zeta._top_terms``).  The identity checkers sum the
 generators of the relation families, coeff times a product of nodes, whose
 expansion is the term list of the formal relations, by the same
-``relations.sum_of_products`` as the zeta relations: depth-1 head nodes
-through ``mht_sum``, and each orderings node by one DP over its
-sub-multisets (``mht_orderings_sum``), never ordering by ordering.
-Passing them over random rings exercises the combinatorics independently
-of any zeta arithmetic.
+``relations.sum_of_products`` as the zeta relations, each node (kind, s)
+one ``mht_sum`` of that kind: an orderings node is one DP over its
+sub-multisets, never ordering by ordering.  Passing them over random rings
+exercises the combinatorics independently of any zeta arithmetic.
 """
 
 from __future__ import annotations
@@ -218,48 +217,28 @@ class MHTInstance:
 
 
 def mht_sum(inst: MHTInstance, s: tuple[int, ...], star: bool = False,
-            memo: dict | None = None):
+            memo: dict | None = None, kind: bool | None = None):
     """Sum over (weakly, when star) decreasing chains in the index set of
-    the product of table values; ``memo`` is a store of node tables as in
-    ``zeta._top_terms``, for one instance."""
-    _check_magma(inst, s)
-    D = len(inst.index_set)
-    return _top_terms(s, D, star, inst.ring, inst.cell,
-                      {} if memo is None else memo)[D]
-
-
-def mht_orderings_sum(inst: MHTInstance, multiset: tuple[int, ...],
-                      star: bool = False, signed: bool = False,
-                      memo: dict | None = None):
-    """Sum of ``mht_sum`` over the distinct orderings of a nonempty multiset
-    (over S_n, signed, when ``signed``, as in ``zeta._top_terms``); memo as
-    in ``mht_sum``, and may be the same dict."""
-    _check_magma(inst, multiset)
-    D = len(inst.index_set)
-    return _top_terms(multiset, D, star, inst.ring, inst.cell,
-                      {} if memo is None else memo, signed)[D]
-
-
-def _check_magma(inst: MHTInstance, s):
+    the product of table values, for the node (kind, s) of
+    ``zeta._top_terms``: s read as a tuple when kind is None, summed over
+    the distinct orderings of the multiset s when False, and over all of
+    S_n, signed, when True.  ``memo`` is a store of node tables as in
+    ``_top_terms``, for one instance; one store serves every kind."""
     if not s:
         raise ValueError("exponent tuple must be nonempty")
     for e in s:
         if e not in inst.magma:
             raise ValueError(f"exponent {e} outside the instance magma")
+    D = len(inst.index_set)
+    return _top_terms(s, D, star, inst.ring, inst.cell,
+                      {} if memo is None else memo, kind)[D]
 
 
 def _node_values(inst: MHTInstance):
-    """The node values of ``relations.sum_of_products`` on an instance: a
-    head node by ``mht_sum``, an orderings node by ``mht_orderings_sum``,
-    with one memo for the whole sum."""
+    """The node values of ``relations.sum_of_products`` on an instance, each
+    one ``mht_sum``, with one memo for the whole sum."""
     memo = {}
-
-    def value(node):
-        kind, entries = node
-        if kind is None:
-            return mht_sum(inst, entries, memo=memo)
-        return mht_orderings_sum(inst, entries, False, kind, memo)
-    return value
+    return lambda node: mht_sum(inst, node[1], False, memo, node[0])
 
 
 def check_thmC(inst: MHTInstance, s: tuple[int, ...]):

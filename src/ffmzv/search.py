@@ -1,7 +1,10 @@
 """Relation search at fixed v-adic precision: enumerate exponent tuples,
 coordinate their v-adic values over F_q, take the nullspace, and compare the
 found relations with the span of the universal families plus structural
-zeros.
+zeros.  Each column is the value of one tuple node, read through the
+``relations.Vadic`` carrier by the node evaluator of the relations
+(``relations._factor_value``), so a found relation and its ``verify`` read
+the same values.
 
 Relations found this way are precision-relative ("mod v^N candidates"); only
 the containment of the generated families is asserted exactly.
@@ -17,9 +20,10 @@ from .errors import InvalidFamilyInput, InvalidScope, ScopeMismatch
 from .fields import FieldSpec
 from .linalg import FqMatrix, echelon, nullspace
 from .poly import Poly
-from .relations import (FormalRelation, Thm3Config, gen_thm2, gen_thm3,
-                        is_q_even, is_trivial_zero)
-from .zeta import Composition, vadic_mzv_auto
+from .relations import (FormalRelation, Thm3Config, Vadic, _factor_value,
+                        gen_thm2, gen_thm3, is_q_even, is_trivial_zero)
+from .residue import ResidueElem
+from .zeta import Composition
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,6 @@ class SearchScope:
         }
 
 
-@dataclass(frozen=True)
-class ValueVector:
-    tuple: Composition
-    coords: tuple[int, ...]  # F_q indices on the basis {t^i mod v^N}
-
-
 def enumerate_tuples(scope: SearchScope) -> list[Composition]:
     """All in-scope compositions, ordered by (depth, entries)."""
     spec = scope.spec
@@ -84,21 +82,17 @@ def enumerate_tuples(scope: SearchScope) -> list[Composition]:
             for entries in bounded(depth, scope.weight_max)]
 
 
-def _value_vector(s: Composition, scope: SearchScope) -> ValueVector:
-    report = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec)
-    m = scope.N * scope.v.degree()
-    coords = tuple(report.value.rep.coeff_index(i) for i in range(m))
-    return ValueVector(tuple=s, coords=coords)
-
-
 def value_matrix(tuples: list[Composition],
-                 scope: SearchScope) -> tuple[FqMatrix, list[ValueVector]]:
-    """Matrix whose column j holds the F_q coordinates of tuple j's v-adic
-    value at precision N, exact at the bound D = N*deg(v)+1."""
-    vectors = [_value_vector(s, scope) for s in tuples]
+                 scope: SearchScope) -> tuple[FqMatrix, list[ResidueElem]]:
+    """Matrix whose column j holds the F_q coordinates, on the basis
+    {t^i mod v^N}, of tuple j's v-adic value at precision N, exact at the
+    bound D = N*deg(v)+1 of the ``Vadic`` carrier; with the column values."""
+    ring, D, h = Vadic(scope.v, scope.N).carrier(scope.spec)
+    values = [_factor_value((None, s.entries), D, False, ring, h)
+              for s in tuples]
     m = scope.N * scope.v.degree()
-    rows = [[vec.coords[i] for vec in vectors] for i in range(m)]
-    return FqMatrix(scope.spec, rows, cols=len(tuples)), vectors
+    rows = [[x.rep.coeff_index(i) for x in values] for i in range(m)]
+    return FqMatrix(scope.spec, rows, cols=len(tuples)), values
 
 
 def find_relations(scope: SearchScope) -> list[FormalRelation]:

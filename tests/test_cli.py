@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -131,6 +133,20 @@ def test_formats(capsys, tmp_path):
     assert code == 0 and "command: primes" in out
 
 
+def test_csv_fields_holding_quotes_parse(capsys):
+    """Fields with quotes (the JSON cells of a search) are quoted with their
+    quotes doubled, so each row reads back as its two fields."""
+    argv = ["search", "--v", "t", "--weight-max", "4", "--depth-max", "3",
+            "--N", "2"]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    cells = dict(rows[1:])
+    assert json.loads(cells["relations"]) == \
+        json.loads(run(capsys, *argv)[1])["relations"]
+
+
 def test_out_file_and_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["search", "--v", "t", "--weight-max", "4", "--depth-max", "3",
@@ -184,6 +200,13 @@ def test_exit_code_2_on_usage_errors(capsys):
         assert flag in capsys.readouterr().err
     assert main(["harmonic", "--ring", "zmod:2", "--doubling",
                  "--magma-size", "0"]) == 2
+    # without --doubling the identity has depth 3: at depth 1 it is x - x
+    for size in ("1", "2"):
+        assert main(["harmonic", "--magma-size", size, "--checks", "3"]) == 2
+        assert "depth-1" in capsys.readouterr().err
+    assert main(["harmonic", "--magma-size", "3", "--checks", "3"]) == 0
+    assert main(["harmonic", "--ring", "zmod:2", "--doubling",
+                 "--magma-size", "1", "--checks", "3"]) == 0
     # flags a subcommand would parse and then ignore are not accepted
     for argv in (["compute", "--tuple", "(1,)", "--D", "2"],
                  ["verify", "--family", "thm2", "--tuple", "(1,2,3)",

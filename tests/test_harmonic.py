@@ -8,7 +8,6 @@ from ffmzv import (Composition, FieldSpec, GFRing, MHTInstance, RationalFn,
                    RationalRing, TruncatedPolyRing, ZModRing, check_thmC,
                    check_thmD, mht_sum, random_instance, truncated_mzv)
 from ffmzv.errors import DoublingLawViolated, InvalidFamilyInput
-from ffmzv.harmonic import mht_orderings_sum
 from ffmzv.power_sums import _exact_frac
 
 F2 = FieldSpec.parse("q=2")
@@ -58,7 +57,7 @@ def test_mht_sum_validates_exponents():
         mht_sum(inst, ())
     for signed in (False, True):
         with pytest.raises(ValueError):
-            mht_orderings_sum(inst, (), signed=signed)
+            mht_sum(inst, (), False, None, signed)
 
 
 def test_classical_double_zeta_specialization():

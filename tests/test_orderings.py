@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from ffmzv import (FieldSpec, GFRing, RationalRing, TruncatedPolyRing,
                    ZModRing, mht_sum, random_instance)
 from ffmzv.errors import InvalidFamilyInput
-from ffmzv.harmonic import mht_orderings_sum
 from ffmzv.relations import (check_doubling_shape,
                              doubling_generators,
                              doubling_identity_generators, expand,
@@ -63,7 +62,7 @@ def instances(draw):
 def test_multiset_orderings_sum_matches_enumeration(inst, star, data):
     multiset = tuple(data.draw(st.lists(st.sampled_from(inst.magma[:3]),
                                         min_size=1, max_size=6)))
-    assert mht_orderings_sum(inst, multiset, star) == \
+    assert mht_sum(inst, multiset, star, None, False) == \
         enumerated_orderings_sum(inst, multiset, star, False), multiset
 
 
@@ -72,7 +71,7 @@ def test_multiset_orderings_sum_matches_enumeration(inst, star, data):
 def test_signed_orderings_sum_matches_enumeration(inst, star, data):
     entries = tuple(data.draw(st.permutations(inst.magma)))
     entries = entries[:data.draw(st.integers(1, 5))]
-    assert mht_orderings_sum(inst, entries, star, signed=True) == \
+    assert mht_sum(inst, entries, star, None, True) == \
         enumerated_orderings_sum(inst, entries, star, True), entries
 
 
@@ -94,7 +93,7 @@ def test_one_memo_serves_ordered_and_multiset_calls(inst, star, data):
             got, fresh = mht_sum(inst, s, star, memo), mht_sum(inst, s, star)
         else:
             signed = kind == "signed"
-            got = mht_orderings_sum(inst, s, star, signed, memo)
+            got = mht_sum(inst, s, star, memo, signed)
             fresh = enumerated_orderings_sum(inst, s, star, signed)
         assert got == fresh, (kind, s)
 
@@ -107,11 +106,11 @@ def test_a_multiset_is_not_its_ordered_suffix():
         ab = mht_sum(inst, (a, b), star, memo)
         ba = mht_sum(inst, (b, a), star)
         assert ab != ba
-        assert mht_orderings_sum(inst, (a, b), star, False, memo) == \
+        assert mht_sum(inst, (a, b), star, memo, False) == \
             inst.ring.add(ab, ba)
-        assert mht_orderings_sum(inst, (a, b), star, True, memo) == \
+        assert mht_sum(inst, (a, b), star, memo, True) == \
             inst.ring.add(ab, inst.ring.neg(ba))
-        assert mht_orderings_sum(inst, (b, a), star, True, memo) == \
+        assert mht_sum(inst, (b, a), star, memo, True) == \
             inst.ring.add(ba, inst.ring.neg(ab))
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from ffmzv import (Composition, FieldSpec, FormalRelation, SearchScope,
                    Vadic, compare_with_universal, enumerate_tuples,
                    evaluate_relation, find_relations, is_q_even, parse_poly,
-                   stack_rank, value_matrix)
+                   stack_rank, vadic_mzv_auto, value_matrix)
+from ffmzv import zeta
 from ffmzv.errors import InvalidScope, ScopeMismatch
 from ffmzv.linalg import echelon
 from ffmzv.search import _universal_relations
@@ -73,9 +74,32 @@ def test_invalid_scope():
 def test_qeven_depth1_column_is_zero():
     # depth-1 q-even values vanish v-adically, so their columns are zero
     scope = SearchScope(F3, T3, weight_max=4, depth_max=1, N=3)
-    _, vectors = value_matrix(enumerate_tuples(scope), scope)
-    for vec in vectors:
-        assert set(vec.coords) == {0}, vec.tuple
+    matrix, values = value_matrix(enumerate_tuples(scope), scope)
+    assert matrix.rows == 3 and matrix.cols == len(values) == 2
+    assert all(set(row) == {0} for row in matrix.entries)
+    assert all(x.is_zero() for x in values)
+
+
+@pytest.mark.parametrize("scope", [
+    SearchScope(F2, T2, weight_max=5, depth_max=3, N=3),
+    SearchScope(F2, parse_poly("t^2+t+1", F2), weight_max=4, depth_max=3,
+                N=2, include_negatives=True),
+    SearchScope(F3, parse_poly("t^2+1", F3), weight_max=6, depth_max=3, N=2),
+    SearchScope(F4, parse_poly("t+a", F4), weight_max=9, depth_max=3, N=3),
+], ids=["q2-t", "q2-t2+t+1-negatives", "q3-t2+1", "q4-t+a"])
+def test_value_matrix_columns_are_the_vadic_values(scope, monkeypatch):
+    """Each column, and its coordinates in the matrix, is the value of the
+    zeta API ``vadic_mzv_auto``, computed afresh in a store of its own."""
+    tuples = enumerate_tuples(scope)
+    matrix, values = value_matrix(tuples, scope)
+    monkeypatch.setattr(zeta, "_trunc_cache", {})
+    m = scope.N * scope.v.degree()
+    assert matrix.rows == m and len(values) == matrix.cols == len(tuples)
+    for j, s in enumerate(tuples):
+        want = vadic_mzv_auto(scope.v, s, scope.N, False, scope.spec).value
+        assert values[j] == want, s
+        assert [row[j] for row in matrix.entries] == \
+            [want.rep.coeff_index(i) for i in range(m)], s
 
 
 def test_found_relations_are_sound():
