@@ -16,16 +16,16 @@ from .poly import (Poly, irreducible_polys, is_irreducible, monic_polys,
                    parse_poly, poly_ext_gcd, poly_gcd)
 from .power_sums import vanish_degree
 from .ratfn import RationalFn
-from .relations import (Finite, FormalRelation, Thm3Config, TruncatedExact,
-                        Vadic, Verdict, evaluate_relation, gen_thm2, gen_thm3,
-                        gen_thmA, gen_thmB, is_q_even, is_trivial_zero)
+from .relations import (FormalRelation, Thm3Config, evaluate_relation,
+                        gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
+                        is_trivial_zero)
 from .residue import (AtLeast, ResidueElem, ResidueRing, poly_inv_mod,
                       v_valuation)
 from .search import (SearchScope, compare_with_universal, enumerate_tuples,
                      find_relations, value_matrix)
-from .zeta import (Composition, StabilizationReport, TruncationConfig,
-                   finite_mzv, parse_composition, truncated_mzv, vadic_mzv,
-                   vadic_mzv_auto)
+from .zeta import (Composition, Finite, StabilizationReport, TruncatedExact,
+                   TruncationConfig, Vadic, Verdict, finite_mzv,
+                   parse_composition, truncated_mzv, vadic_mzv, vadic_mzv_auto)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

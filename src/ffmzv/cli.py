@@ -22,12 +22,12 @@ from .harmonic import (GFRing, RationalRing, TruncatedPolyRing, ZModRing,
                        check_thmC, check_thmD, random_instance)
 from .poly import (Poly, irreducible_polys, is_irreducible, parse_int,
                    parse_poly)
-from .relations import (Finite, Thm3Config, TruncatedExact, Vadic,
-                        evaluate_relation, gen_thm2, gen_thm3, gen_thmA,
-                        gen_thmB)
+from .relations import (Thm3Config, evaluate_relation, gen_thm2, gen_thm3,
+                        gen_thmA, gen_thmB)
 from .search import SearchScope, compare_with_universal, find_relations
-from .zeta import (TruncationConfig, exact_bound, parse_composition,
-                   truncated_mzv, vadic_mzv, vadic_mzv_auto, finite_mzv)
+from .zeta import (Finite, TruncatedExact, TruncationConfig, Vadic,
+                   exact_bound, finite_mzv, parse_composition, truncated_mzv,
+                   vadic_mzv, vadic_mzv_auto)
 
 
 def _build_parser() -> argparse.ArgumentParser:

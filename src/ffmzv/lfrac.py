@@ -92,9 +92,6 @@ class LFrac:
     def __neg__(self) -> "LFrac":
         return LFrac(self.spec, -self.num, self.exps)
 
-    def __sub__(self, other: "LFrac") -> "LFrac":
-        return self + (-other)
-
     def __mul__(self, other: "LFrac") -> "LFrac":
         if self.is_zero() or other.is_zero():
             return LFrac.zero(self.spec)

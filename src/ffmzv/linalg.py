@@ -24,10 +24,6 @@ class FqMatrix:
         else:
             self.cols = cols if cols is not None else 0
 
-    def __eq__(self, other):
-        return (isinstance(other, FqMatrix) and self.spec == other.spec
-                and self.entries == other.entries and self.cols == other.cols)
-
     def mat_vec(self, x: list[int]) -> list[int]:
         fq = self.spec
         out = []

@@ -3,7 +3,9 @@
 S_d(k) sums a^(-k) over all monic a of degree d and lives in F_q(t).  At a
 prime v the sums are the coprime variant S~_d(k), which skips the multiples
 of v, and live in A/(v^N).  Every sum is memoized per key -- the nested zeta
-sums re-read these heavily.
+sums re-read these heavily.  A residue sum is keyed (ring, d, k): the one
+``ResidueRing`` per (v, N) is the whole identity of its carrier, as it is
+for the unit tables and the chain-sum tables of ``zeta``.
 
 For k >= 1 no monic is enumerated: the numerator of S_d(k) over l_d^k
 follows a linear recurrence in F_q[t] from Carlitz's generating function
@@ -110,18 +112,17 @@ def _carlitz_coeff(spec: FieldSpec, d: int, i: int) -> Poly:
     return -c if (d - i) % 2 else c
 
 
-def _residue_sum(spec: FieldSpec, d: int, k: int, v: Poly, N: int) -> ResidueElem:
+def _residue_sum(ring: ResidueRing, d: int, k: int) -> ResidueElem:
     """The coprime power sum S~_d(k) (monics of degree d prime to v) in
-    A/(v^N)."""
-    key = (spec, d, k, v, N)
+    the ring A/(v^N)."""
+    key = (ring, d, k)
     hit = _residue_cache.get(key)
     if hit is not None:
         return hit
-    ring = ResidueRing(v, N)
     out = ring.zero()
     # every residue class mod v^N holds q^(d - N deg v) monics of degree
     # d > N deg v, so those sums vanish
-    if d <= N * v.degree():
+    if d <= ring.N * ring.v.degree():
         out = sum(_powers(ring, d, -k), out)
     _residue_cache[key] = out
     return out

@@ -1,5 +1,6 @@
 """Universal F_q-linear relation families among zeta values, as formal
-objects, plus evaluation of any formal relation under any carrier.
+objects, plus evaluation of any formal relation in the carrier of a
+``zeta`` evaluator (``TruncatedExact``, ``Finite`` or ``Vadic``).
 
 Family tags (also the CLI --family names):
   thm2 -- alternating sum over all permutations of a distinct q-even tuple
@@ -16,7 +17,8 @@ product of nodes, each node the (kind, entries) pair of
 ``zeta._top_terms``: kind None a tuple, False the distinct orderings of a
 multiset, True the signed sum over S_n of distinct entries.  Every relation
 is summed by its generators (``sum_of_products``), each node the P[D] of
-its table in the process store of the chain-sum DP: one orderings sum per
+its table in the process store of the chain-sum DP
+(``zeta._factor_value``): one orderings sum per
 multiset, never one term per ordering.  A relation given by its terms
 reads as one tuple node per factor.  A family relation's term list, their
 expansion, is built only when read, for serialization and equality; the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from math import factorial, prod
 
@@ -36,10 +38,9 @@ from .errors import InvalidEvaluator, InvalidFamilyInput, ParseError
 from .fields import FieldSpec
 from . import zeta
 from .poly import Poly
-from .power_sums import (_exact_frac, _residue_sum, default_vanish_cap,
-                         vanish_degree)
-from .residue import ResidueRing
-from .zeta import Composition, exact_bound, exact_ring
+from .power_sums import default_vanish_cap, vanish_degree
+from .zeta import (Composition, Finite, TruncatedExact, Vadic, Verdict,
+                   _factor_value)
 
 # -- family generators and their terms (integer coefficients, plain tuples) -----
 
@@ -441,86 +442,9 @@ def sum_of_products(ring, generators, value):
     return acc
 
 
-@dataclass(frozen=True)
-class TruncatedExact:
-    D: int
-    star: bool = False
-
-    def __post_init__(self):
-        if self.D < 1:
-            # no chain has a top index below 0: the value would be an
-            # empty sum, and a vacuous Zero
-            raise InvalidEvaluator(f"D={self.D} must be >= 1")
-
-    def carrier(self, spec: FieldSpec):
-        """(ring, D, h): the ring of the value, the level it sums below and
-        the table h(d, k) of its chain-sum DP."""
-        return exact_ring(spec), self.D, partial(_exact_frac, spec)
-
-    def verdict(self, acc):
-        value = acc.to_ratfn()
-        return value, Verdict("Zero" if value.is_zero() else "NonZero")
-
-
-@dataclass(frozen=True)
-class Finite:
-    v: Poly
-    star: bool = False
-
-    def carrier(self, spec: FieldSpec):
-        return (ResidueRing(self.v, 1), self.v.degree(),
-                lambda d, k: _residue_sum(spec, d, k, self.v, 1))
-
-    def verdict(self, acc):
-        return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
-
-
-@dataclass(frozen=True)
-class Vadic:
-    """The v-adic value mod v^N, always at the exact bound
-    D = N*deg(v)+1 (``zeta.exact_bound``): past it the chain sum does not
-    change, and below it a zero would be a vacuous ValuationAtLeast(N)."""
-    v: Poly
-    N: int
-    star: bool = False
-
-    def carrier(self, spec: FieldSpec):
-        return (ResidueRing(self.v, self.N), exact_bound(self.v, self.N),
-                lambda d, k: _residue_sum(spec, d, k, self.v, self.N))
-
-    def verdict(self, acc):
-        # a nonzero residue mod v^N has valuation < N
-        if acc.is_zero():
-            return acc, Verdict("ValuationAtLeast", self.N)
-        return acc, Verdict("NonZero")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "Zero" | "NonZero" | "ValuationAtLeast"
-    n: int | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "ValuationAtLeast":
-            return f"ValuationAtLeast({self.n})"
-        return self.kind
-
-    @property
-    def passed(self) -> bool:
-        return self.kind in ("Zero", "ValuationAtLeast")
-
-
 # another name for the store ``_factor_value`` reads, kept because
 # perfbench's tracer reads its size by this name
 _residue_factor_cache = zeta._trunc_cache
-
-
-def _factor_value(node, D: int, star: bool, ring, h):
-    """P[D] of the table of a node, (kind, entries) as in
-    ``zeta._top_terms``, in the process store ``zeta._trunc_cache``."""
-    kind, entries = node
-    return zeta._top_terms(entries, D, star, ring, h, zeta._trunc_cache,
-                           kind)[D]
 
 
 def evaluate_relation(rel: FormalRelation, evaluator) -> tuple[object, Verdict]:

@@ -2,9 +2,8 @@
 coordinate their v-adic values over F_q, take the nullspace, and compare the
 found relations with the span of the universal families plus structural
 zeros.  Each column is the value of one tuple node, read through the
-``relations.Vadic`` carrier by the node evaluator of the relations
-(``relations._factor_value``), so a found relation and its ``verify`` read
-the same values.
+``zeta.Vadic`` carrier by the one node evaluator, ``zeta._factor_value``,
+so a found relation and its ``verify`` read the same values.
 
 Relations found this way are precision-relative ("mod v^N candidates"); only
 the containment of the generated families is asserted exactly.
@@ -20,10 +19,10 @@ from .errors import InvalidFamilyInput, InvalidScope, ScopeMismatch
 from .fields import FieldSpec
 from .linalg import FqMatrix, echelon, nullspace
 from .poly import Poly
-from .relations import (FormalRelation, Thm3Config, Vadic, _factor_value,
-                        gen_thm2, gen_thm3, is_q_even, is_trivial_zero)
+from .relations import (FormalRelation, Thm3Config, gen_thm2, gen_thm3,
+                        is_q_even, is_trivial_zero)
 from .residue import ResidueElem
-from .zeta import Composition
+from .zeta import Composition, Vadic, _factor_value
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@
 Every flavor is a multiple harmonic type sum with table h(d, s) = S_d(s) in
 a carrier ring: F_q(t) for truncated values, a ``residue.ResidueRing`` for
 the others (a finite value is the v-adic partial sum at N = 1 and
-D = deg v).  One step (``_step``) of one dynamic program over the top index
-serves every carrier and the generic rings of ``harmonic.mht_sum``.
-``_top_terms`` walks it over a tuple's suffixes, or over the sub-multisets
-of a multiset for the orderings nodes of the relation generators, growing
-each node's table of prefix sums with D; the tables are keyed by the ring,
-and the zeta values and the relations keep theirs in ``_trunc_cache`` for
-the process.
+D = deg v).  The evaluators ``TruncatedExact``, ``Finite`` and ``Vadic`` are
+the one place that picks a carrier: their ``carrier`` gives (ring, D, h),
+and the zeta values here, the relations and the search columns all read
+it, a node's value through ``_factor_value``.  One step (``_step``) of one
+dynamic program over the top index serves every carrier and the generic
+rings of ``harmonic.mht_sum``.  ``_top_terms`` walks it over a tuple's
+suffixes, or over the sub-multisets of a multiset for the orderings nodes
+of the relation generators, growing each node's table of prefix sums with
+D; the tables are keyed by the ring, and the zeta values and the relations
+keep theirs in ``_trunc_cache`` for the process.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cache, partial
 from itertools import accumulate
 from types import SimpleNamespace
 
-from .errors import ParseError
+from .errors import InvalidEvaluator, ParseError
 from .fields import FieldSpec
 from .lfrac import LFrac
 from .poly import Poly, parse_int
@@ -181,11 +184,97 @@ def _step(sums, top_row, star, ring, start=0):
 _trunc_cache: dict[tuple, list] = {}
 
 
+def exact_bound(v: Poly, N: int) -> int:
+    """N*deg(v) + 1, the least truncation degree at which the v-adic value
+    mod v^N is exact: a coprime power sum of degree d > N*deg(v) vanishes
+    mod v^N, and every chain with top index d_1 >= N*deg(v) + 1 has one as
+    its first factor."""
+    return N * v.degree() + 1
+
+
+@dataclass(frozen=True)
+class TruncatedExact:
+    D: int
+    star: bool = False
+
+    def __post_init__(self):
+        if self.D < 1:
+            # no chain has a top index below 0: the value would be an
+            # empty sum, and a vacuous Zero
+            raise InvalidEvaluator(f"D={self.D} must be >= 1")
+
+    def carrier(self, spec: FieldSpec):
+        """(ring, D, h): the ring of the value, the level it sums below and
+        the table h(d, k) of its chain-sum DP."""
+        return exact_ring(spec), self.D, partial(_exact_frac, spec)
+
+    def verdict(self, acc):
+        value = acc.to_ratfn()
+        return value, Verdict("Zero" if value.is_zero() else "NonZero")
+
+
+@dataclass(frozen=True)
+class Finite:
+    """The value in F_v: the v-adic partial sum at N = 1 and D = deg v, as
+    no monic of degree below deg v is a multiple of v."""
+    v: Poly
+    star: bool = False
+
+    def carrier(self, spec: FieldSpec):
+        ring = ResidueRing(self.v, 1)
+        return ring, self.v.degree(), partial(_residue_sum, ring)
+
+    def verdict(self, acc):
+        return acc, Verdict("Zero" if acc.is_zero() else "NonZero")
+
+
+@dataclass(frozen=True)
+class Vadic:
+    """The v-adic value mod v^N, always at the exact bound
+    D = N*deg(v)+1 (``exact_bound``): past it the chain sum does not
+    change, and below it a zero would be a vacuous ValuationAtLeast(N)."""
+    v: Poly
+    N: int
+    star: bool = False
+
+    def carrier(self, spec: FieldSpec):
+        ring = ResidueRing(self.v, self.N)
+        return ring, exact_bound(self.v, self.N), partial(_residue_sum, ring)
+
+    def verdict(self, acc):
+        # a nonzero residue mod v^N has valuation < N
+        if acc.is_zero():
+            return acc, Verdict("ValuationAtLeast", self.N)
+        return acc, Verdict("NonZero")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    kind: str  # "Zero" | "NonZero" | "ValuationAtLeast"
+    n: int | None = None
+
+    def __str__(self) -> str:
+        if self.kind == "ValuationAtLeast":
+            return f"ValuationAtLeast({self.n})"
+        return self.kind
+
+    @property
+    def passed(self) -> bool:
+        return self.kind in ("Zero", "ValuationAtLeast")
+
+
+def _factor_value(node, D: int, star: bool, ring, h):
+    """P[D] of the table of a node, (kind, entries) as in ``_top_terms``,
+    in the process store ``_trunc_cache``."""
+    kind, entries = node
+    return _top_terms(entries, D, star, ring, h, _trunc_cache, kind)[D]
+
+
 def _truncated_frac(D: int, s: Composition, star: bool,
                     spec: FieldSpec) -> LFrac:
     """The truncated value as an LFrac: P[D] of the table of s.entries."""
-    return _top_terms(s.entries, D, star, exact_ring(spec),
-                      partial(_exact_frac, spec), _trunc_cache)[D]
+    ring, D, h = TruncatedExact(D, star).carrier(spec)
+    return _top_terms(s.entries, D, star, ring, h, _trunc_cache)[D]
 
 
 def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> RationalFn:
@@ -198,38 +287,27 @@ def truncated_mzv(D: int, s: Composition, star: bool, spec: FieldSpec) -> Ration
 
 def finite_mzv(v: Poly, s: Composition, star: bool,
                spec: FieldSpec) -> ResidueElem:
-    """Sum over chains with d_1 < deg v, reduced mod v; element of F_v.  It
-    is the v-adic partial sum at N = 1 and D = deg v: no monic of degree
-    below deg v is a multiple of v."""
-    return vadic_mzv(v, s, TruncationConfig(v.degree(), 1, star), spec).value
-
-
-def exact_bound(v: Poly, N: int) -> int:
-    """N*deg(v) + 1, the least truncation degree at which the v-adic value
-    mod v^N is exact: a coprime power sum of degree d > N*deg(v) vanishes
-    mod v^N, and every chain with top index d_1 >= N*deg(v) + 1 has one as
-    its first factor."""
-    return N * v.degree() + 1
+    """Sum over chains with d_1 < deg v, reduced mod v; element of F_v, read
+    in the ``Finite`` carrier."""
+    ring, D, h = Finite(v, star).carrier(spec)
+    return _top_terms(s.entries, D, star, ring, h, _trunc_cache)[D]
 
 
 def vadic_mzv(v: Poly, s: Composition, cfg: TruncationConfig,
               spec: FieldSpec) -> StabilizationReport:
     """Partial v-adic sum through top degree cfg.D - 1 at precision cfg.N,
-    over coprime power sums; stabilized (exact) once cfg.D reaches
-    exact_bound(v, cfg.N)."""
-    N = cfg.N
-    ring = ResidueRing(v, N)
-    # top terms from exact_bound(v, N) on are zero: sum only up to it
-    D = min(cfg.D, exact_bound(v, N))
-    sums = _top_terms(s.entries, D, cfg.star, ring,
-                      lambda d, k: _residue_sum(spec, d, k, v, N),
-                      _trunc_cache)
+    over coprime power sums, in the ``Vadic`` carrier; stabilized (exact)
+    once cfg.D reaches its bound, exact_bound(v, cfg.N)."""
+    ring, bound, h = Vadic(v, cfg.N, cfg.star).carrier(spec)
+    # top terms from the bound on are zero: sum only up to it
+    D = min(cfg.D, bound)
+    sums = _top_terms(s.entries, D, cfg.star, ring, h, _trunc_cache)
     # the least level from which the partial sums stay at P[D]
     stable_from = D
     while stable_from > 1 and sums[stable_from - 1] == sums[D]:
         stable_from -= 1
     return StabilizationReport(value=sums[D], stable_from=stable_from,
-                               stabilized=cfg.D >= exact_bound(v, N), D=cfg.D)
+                               stabilized=cfg.D >= bound, D=cfg.D)
 
 
 def vadic_mzv_auto(v: Poly, s: Composition, N: int, star: bool,

@@ -30,7 +30,7 @@ T3 = parse_poly("t", F3)
 
 
 def _residue_table(spec, v, N):
-    return lambda d, k: _residue_sum(spec, d, k, v, N)
+    return partial(_residue_sum, ResidueRing(v, N))
 
 
 def _table_carrier(ring, draw_value, D, seed):

@@ -147,6 +147,25 @@ def test_csv_fields_holding_quotes_parse(capsys):
         json.loads(run(capsys, *argv)[1])["relations"]
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["compute", "--tuple", "(1,2)", "--D", "3"], 0),
+    (["compute", "--tuple", "(1,2)", "--v", "t", "--N", "2", "--D", "2"], 1),
+    (["verify", "--family", "thmA", "--tuple", "(1,2,4)", "--evaluator",
+      "vadic", "--v", "t", "--N", "3"], 0),
+    (["verify", "--family", "thm2", "--tuple", "(1,2,3)", "--evaluator",
+      "trunc", "--D", "3"], 1),
+], ids=["compute-trunc", "compute-partial", "verify-vadic", "verify-trunc"])
+def test_csv_reports_are_a_key_row_and_a_value_row(capsys, argv, want):
+    """A compute or verify report in CSV is two rows of equal width: the
+    sorted keys of its JSON report, then their values."""
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == want
+    result = json.loads(run(capsys, *argv)[1])
+    keys = sorted(result)
+    assert list(csv.reader(io.StringIO(out))) == \
+        [keys, [str(result[k]) for k in keys]]
+
+
 def test_out_file_and_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["search", "--v", "t", "--weight-max", "4", "--depth-max", "3",
@@ -178,6 +197,19 @@ def test_exit_code_2_on_usage_errors(capsys):
                  "--evaluator", "finite", "--v", "t^2+t+1", "--D", "3"]) == 2
     assert main(["compute", "--tuple", "(1,2)", "--v", "t^2+t+1", "--D",
                  "3"]) == 2
+    # an empty truncated or partial v-adic sum is no value
+    assert main(["compute", "--tuple", "(1,2)", "--D", "0"]) == 2
+    assert main(["compute", "--tuple", "(1,2)", "--v", "t", "--N", "2",
+                 "--D", "0"]) == 2
+    # each evaluator and family refuses a run without its input
+    assert main(["verify", "--family", "thm2", "--tuple", "(1,2,3)",
+                 "--evaluator", "trunc"]) == 2
+    assert main(["verify", "--family", "thm2", "--tuple", "(1,2,3)",
+                 "--evaluator", "finite"]) == 2
+    assert main(["verify", "--family", "thm2", "--evaluator", "trunc", "--D",
+                 "2"]) == 2
+    assert main(["verify", "--family", "thm3", "--evaluator", "trunc", "--D",
+                 "2"]) == 2
     # flags the evaluator would ignore are refused and named
     capsys.readouterr()
     assert main(["verify", "--family", "thm2", "--tuple", "(1,2,4)",
@@ -190,7 +222,8 @@ def test_exit_code_2_on_usage_errors(capsys):
                  "--evaluator", "trunc", "--D", "3", "--v", "t^2+t+1"]) == 2
     assert "--v" in capsys.readouterr().err
     assert main(["nonsense"]) == 2
-    for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1"):
+    for ring in ("zmod", "polymod:4:2", "polymod:2", "gf", "zmod:3:1",
+                 "foo:1"):
         assert main(["harmonic", "--ring", ring, "--checks", "1"]) == 2, ring
     # no checks, or checks over empty sets, would pass vacuously
     for flag, value in (("--checks", "0"), ("--checks", "-3"),

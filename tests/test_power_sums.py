@@ -126,7 +126,7 @@ def test_residue_exact_compatibility():
     for d in (0, 1, 2, 3, 4):
         for k in (1, 3, 0, -2):
             exact = literal_power_sum(F2, d, k, coprime_to=T2)
-            res = _residue_sum(F2, d, k, T2, 4)
+            res = _residue_sum(ResidueRing(T2, 4), d, k)
             assert ResidueRing(T2, 4).from_ratfn(exact) == res
 
 
@@ -135,7 +135,7 @@ def test_high_degree_coprime_sums_vanish_at_precision():
     for N in (1, 2):
         for k in (1, 2, -1):
             d = N * V2.degree() + 1
-            shortcut = _residue_sum(F2, d, k, V2, N)
+            shortcut = _residue_sum(ResidueRing(V2, N), d, k)
             assert shortcut.is_zero()
             # literal check at modest size
             ring = ResidueRing(V2, N)
@@ -177,7 +177,7 @@ def test_unit_table_sums_match_literal_sums(case, d, ks):
     ring = ResidueRing(v, N)
     for k in ks:
         literal = literal_power_sum(spec, d, k, coprime_to=v)
-        assert _residue_sum(spec, d, k, v, N) == ring.from_ratfn(literal), \
+        assert _residue_sum(ring, d, k) == ring.from_ratfn(literal), \
             (str(v), N, d, k)
 
 
@@ -201,7 +201,7 @@ def test_large_exponent_sum_is_fast():
     power_sums._residue_cache.clear()
     power_sums._power_lists.clear()
     start = time.monotonic()
-    _residue_sum(F2, 2, 10 ** 4, V2, 3)
+    _residue_sum(ResidueRing(V2, 3), 2, 10 ** 4)
     assert time.monotonic() - start < 0.5
 
 

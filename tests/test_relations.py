@@ -1,7 +1,7 @@
 import json
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -196,6 +196,26 @@ def test_trivial_zero_actually_vanishes():
     rel = FormalRelation.build([(1, (s.entries,))], "custom", F2)
     _, verdict = evaluate_relation(rel, Vadic(T2, N=3))
     assert verdict.passed
+
+
+@pytest.mark.parametrize("v,example,flagged", [
+    (parse_poly("t^3+t+1", F2), (-2, -2, -2, -2, -2), 500),
+    (parse_poly("t^2+1", F3), (-1, -1, -2), 2915)], ids=["q2", "q3"])
+def test_every_structural_zero_vanishes(v, example, flagged):
+    """Each tuple of depth 2-5 over the entries -3, -2, -1, 1, 2 that
+    ``is_trivial_zero`` flags has v-adic value 0 at N = 1 and 2.  At q = 2
+    every flag comes from the second rule (deg v > r - i > L), as does the
+    q = 3 example; the first rule (r - i > L + deg v) flags the rest."""
+    spec = v.spec
+    zeros = [s for depth in range(2, 6)
+             for s in map(Composition, product((-3, -2, -1, 1, 2),
+                                               repeat=depth))
+             if is_trivial_zero(s, v, spec)]
+    assert len(zeros) == flagged and Composition(example) in zeros
+    for s in zeros:
+        for N in (1, 2):
+            assert vadic_mzv_auto(v, s, N, False, spec).value.is_zero(), \
+                (s, N)
 
 
 @settings(max_examples=200, deadline=None)

@@ -102,6 +102,26 @@ def test_value_matrix_columns_are_the_vadic_values(scope, monkeypatch):
             [want.rep.coeff_index(i) for i in range(m)], s
 
 
+def test_structural_zeros_are_unit_relations_on_zero_columns():
+    """The q = 3 scope of all tuples with negatives has 16 structural
+    zeros, each a unit relation of the universal set on a zero column."""
+    scope = SearchScope(F3, parse_poly("t^2+1", F3), weight_max=6,
+                        depth_max=3, N=2, q_even_only=False,
+                        include_negatives=True)
+    tuples = enumerate_tuples(scope)
+    matrix, values = value_matrix(tuples, scope)
+    index = {s.entries: j for j, s in enumerate(tuples)}
+    zeros = [rel.terms for rel in _universal_relations(scope, tuples)
+             if rel.tag == "custom"]
+    assert len(zeros) == 16
+    assert ((1, ((-1, -1, -2),)),) in zeros
+    assert ((1, ((-3, -1, 2),)),) in zeros
+    for ((coeff, (factor,)),) in zeros:
+        j = index[factor]
+        assert coeff == 1 and values[j].is_zero()
+        assert all(row[j] == 0 for row in matrix.entries), factor
+
+
 def test_found_relations_are_sound():
     scope = SearchScope(F2, T2, weight_max=4, depth_max=3, N=2)
     rels = find_relations(scope)
