@@ -15,6 +15,7 @@ import io
 import json
 import re
 import sys
+from functools import cache
 
 from .errors import FFMzvError, ParseError
 from .fields import FieldSpec, is_prime
@@ -30,7 +31,10 @@ from .zeta import (Finite, TruncatedExact, TruncationConfig, Vadic,
                    vadic_mzv, vadic_mzv_auto)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: one build per process,
+    not one per ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="mzv",
         description="Exact zeta-value computations over F_q(t): truncated, "
@@ -186,6 +190,18 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         if args.D is None:
             raise ParseError("--evaluator trunc requires --D")
         evaluator = TruncatedExact(D=args.D, star=args.star)
+        if not args.star:
+            # a strict node of r entries has no chain below D = r; if every
+            # generator has one, the value is an empty sum, a vacuous Zero
+            least = min((max((len(entries) for _, entries in nodes),
+                             default=0) for _, nodes in rel.generators),
+                        default=0)
+            if least > args.D:
+                raise ParseError(
+                    f"--D {args.D} is below every generator: each has a node "
+                    f"of more than {args.D} entries, whose chain sum is "
+                    f"empty; the least D at which a generator can be "
+                    f"nonzero is {least}")
     else:
         if args.v is None:
             raise ParseError(f"--evaluator {args.evaluator} requires --v")

@@ -34,18 +34,21 @@ class Ring:
     subclasses give zero/one/add/neg/mul and char; scale is built on them."""
 
     def scale(self, a, c: int):
-        """c * a by repeated doubling (c any integer)."""
+        """c * a by double-and-add (c any integer); in characteristic p, c
+        is first taken in (-p/2, p/2], so -1 costs one neg."""
         if self.char:
             c %= self.char
+            if 2 * c > self.char:
+                c -= self.char
         if c < 0:
             a, c = self.neg(a), -c
         acc = self.zero()
-        base = a
         while c:
             if c & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
+                acc = self.add(acc, a)
             c >>= 1
+            if c:
+                a = self.add(a, a)
         return acc
 
 

@@ -13,7 +13,10 @@ rings of ``harmonic.mht_sum``.  ``_top_terms`` walks it over a tuple's
 suffixes, or over the sub-multisets of a multiset for the orderings nodes
 of the relation generators, growing each node's table of prefix sums with
 D; the tables are keyed by the ring, and the zeta values and the relations
-keep theirs in ``_trunc_cache`` for the process.
+keep theirs in ``_trunc_cache`` for the process.  A strict chain of r
+entries has r distinct indices, so its prefix sums P[d] are zero for
+d < r: the DP starts a strict node of r entries at level r - 1 and only
+copies the zeros below it.
 """
 
 from __future__ import annotations
@@ -126,6 +129,11 @@ def _top_terms(entries, D, star, ring, h, tables, orderings=None):
     ``_step``: a tuple's one pick is its first entry, a multiset's are its
     distinct values, and a signed set's i-th entry has eps = (-1)^i.
 
+    Every kind sums strictly decreasing chains of r = len(entries) indices
+    (weakly when star), and r distinct indices below d exist only when
+    d >= r: so a strict table has P[d] = 0 for d < r, and ``_grow`` spends
+    no ring operation on those cells.
+
     T of a node does not depend on D, so ``tables`` maps (ring, star,
     (orderings, entries)) to one table P per node, which a larger D only
     lengthens: a node's new cells d = L..D-1 need only the tables of the
@@ -142,15 +150,24 @@ def _top_terms(entries, D, star, ring, h, tables, orderings=None):
 
 def _grow(node, D, star, ring, h, tables, rows):
     """The table of ``node`` in ``_top_terms``, grown to reach D; ``rows``
-    maps (e, L) to [h(L, e), ..., h(D - 1, e)], built once per walk."""
+    maps (e, L) to [h(L, e), ..., h(D - 1, e)], built once per walk.
+
+    A strict chain of r entries needs r distinct indices, so its top index
+    is at least r - 1: T[d] = 0 for d < r - 1, and P[d] = 0 for d < r.  So
+    the new cells start at lo = min(max(L, r - 1), D): cells L+1..lo copy
+    the stored P[L], which is zero there, only d = lo..D-1 cost ring
+    operations, and at lo = D the nodes below are not grown at all.  Star
+    chains may repeat an index, so star tables start at lo = L."""
     key = (ring, star, node)
     sums = tables.get(key) or [ring.zero()]
     if len(sums) > D:
         return sums
     L = len(sums) - 1
     kind, entries = node
-    top = None
-    for i, e in enumerate(entries[:1] if kind is None else entries):
+    lo = L if star else min(max(L, len(entries) - 1), D)
+    top = ()
+    for i, e in enumerate(() if lo == D else
+                          entries[:1] if kind is None else entries):
         if kind is False and i and entries[i - 1] == e:
             continue  # one pick per distinct value
         row = rows.get((e, L))
@@ -159,12 +176,12 @@ def _grow(node, D, star, ring, h, tables, rows):
         rest = entries[:i] + entries[i + 1:]
         pick = _step(_grow((kind if len(rest) > 1 else None, rest), D, star,
                            ring, h, tables, rows),
-                     row, star, ring, L) if rest else row
+                     row[lo - L:], star, ring, lo) if rest else row
         if kind and i % 2:
             pick = list(map(ring.neg, pick))
-        top = pick if top is None else list(map(ring.add, top, pick))
+        top = list(map(ring.add, top, pick)) if top else pick
     # stored as a new list: a table another caller is reading stays valid
-    sums = tables[key] = sums + list(
+    sums = tables[key] = sums + [sums[-1]] * (lo - L) + list(
         accumulate(top, ring.add, initial=sums[-1]))[1:]
     return sums
 
