@@ -190,18 +190,16 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         if args.D is None:
             raise ParseError("--evaluator trunc requires --D")
         evaluator = TruncatedExact(D=args.D, star=args.star)
-        if not args.star:
-            # a strict node of r entries has no chain below D = r; if every
-            # generator has one, the value is an empty sum, a vacuous Zero
-            least = min((max((len(entries) for _, entries in nodes),
-                             default=0) for _, nodes in rel.generators),
-                        default=0)
-            if least > args.D:
-                raise ParseError(
-                    f"--D {args.D} is below every generator: each has a node "
-                    f"of more than {args.D} entries, whose chain sum is "
-                    f"empty; the least D at which a generator can be "
-                    f"nonzero is {least}")
+        # a strict node of r entries has no chain below D = r: if every
+        # generator has a longer node, the value is an empty sum, a vacuous
+        # Zero
+        least = min((max(len(entries) for _, entries in nodes)
+                     for _, nodes in rel.generators), default=0)
+        if not args.star and least > args.D:
+            raise ParseError(
+                f"--D {args.D} is below every generator: each has a node of "
+                f"more than {args.D} entries, whose chain sum is empty; the "
+                f"least D at which a generator can be nonzero is {least}")
     else:
         if args.v is None:
             raise ParseError(f"--evaluator {args.evaluator} requires --v")

@@ -129,10 +129,11 @@ def _top_terms(entries, D, star, ring, h, tables, orderings=None):
     ``_step``: a tuple's one pick is its first entry, a multiset's are its
     distinct values, and a signed set's i-th entry has eps = (-1)^i.
 
-    Every kind sums strictly decreasing chains of r = len(entries) indices
-    (weakly when star), and r distinct indices below d exist only when
-    d >= r: so a strict table has P[d] = 0 for d < r, and ``_grow`` spends
-    no ring operation on those cells.
+    Every kind sums chains of r = len(entries) indices, strictly decreasing
+    (weakly when star).  A strict chain has r distinct indices, so its top
+    index is at least r - 1: a strict table has T[d] = 0 for d < r - 1 and
+    P[d] = 0 for d < r (the zero-prefix rule), and ``_grow`` spends no ring
+    operation on those cells.
 
     T of a node does not depend on D, so ``tables`` maps (ring, star,
     (orderings, entries)) to one table P per node, which a larger D only
@@ -152,12 +153,11 @@ def _grow(node, D, star, ring, h, tables, rows):
     """The table of ``node`` in ``_top_terms``, grown to reach D; ``rows``
     maps (e, L) to [h(L, e), ..., h(D - 1, e)], built once per walk.
 
-    A strict chain of r entries needs r distinct indices, so its top index
-    is at least r - 1: T[d] = 0 for d < r - 1, and P[d] = 0 for d < r.  So
-    the new cells start at lo = min(max(L, r - 1), D): cells L+1..lo copy
-    the stored P[L], which is zero there, only d = lo..D-1 cost ring
-    operations, and at lo = D the nodes below are not grown at all.  Star
-    chains may repeat an index, so star tables start at lo = L."""
+    By the zero-prefix rule of ``_top_terms`` (T[d] = 0 for d < r - 1), the
+    new cells of a strict node of r entries start at lo = min(max(L, r - 1),
+    D): cells L+1..lo copy the stored P[L], zero there, only d = lo..D-1
+    cost ring operations, and at lo = D the nodes below are not grown.
+    Star chains may repeat an index, so star tables start at lo = L."""
     key = (ring, star, node)
     sums = tables.get(key) or [ring.zero()]
     if len(sums) > D:
