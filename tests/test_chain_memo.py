@@ -3,20 +3,25 @@ orderings of a multiset, every table must equal the one a fresh store
 builds, in every carrier the DP serves.  Likewise the truncated and v-adic
 values read off the growing per-suffix tables of the process store, and the
 orderings sums off the growing sub-multiset tables of one store, at any D
-in any order, star and strict, at every precision N."""
+in any order, star and strict, at every precision N.  Every cell of a
+table equals the literal sum over its chains, and a strict node spends no
+multiplication on the cells below level r - 1, which no chain of its r
+entries reaches."""
 
 import operator
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
+from itertools import combinations, combinations_with_replacement, permutations
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ffmzv import (Composition, FieldSpec, Finite, FormalRelation,
-                   RationalRing, ResidueRing, TruncatedExact,
-                   TruncationConfig, Vadic, ZModRing, evaluate_relation,
-                   parse_poly, zeta)
+from ffmzv import (Composition, FieldSpec, Finite, FormalRelation, GFRing,
+                   MHTInstance, RationalRing, ResidueRing, TruncatedExact,
+                   TruncatedPolyRing, TruncationConfig, Vadic, ZModRing,
+                   evaluate_relation, mht_sum, parse_poly, zeta)
 from ffmzv.power_sums import _exact_frac, _residue_sum
 from ffmzv.relations import sum_of_products
 from ffmzv.zeta import (_top_terms, _truncated_frac, exact_bound, exact_ring,
@@ -27,6 +32,7 @@ F3 = FieldSpec.parse("q=3")
 F4 = FieldSpec.parse("q=4")
 V2 = parse_poly("t^2+t+1", F2)
 T3 = parse_poly("t", F3)
+T2 = parse_poly("t", F2)
 
 
 def _residue_table(spec, v, N):
@@ -231,3 +237,132 @@ def test_growing_tables_match_a_fresh_dp_at_every_D(carrier, data):
             canon = again if v else again.to_ratfn()
             assert again is value and (canon, stable) == fresh, \
                 (entries, D, N, star, kind)
+
+
+def _literal_orders(kind, entries):
+    """(sign, ordering) over the orderings a node sums, enumerated here
+    without the relations module: the tuple itself, the distinct orderings
+    of a multiset, or every ordering of a set signed by its inversions."""
+    if kind is None:
+        return [(1, entries)]
+    if kind is False:
+        return [(1, order) for order in sorted(set(permutations(entries)))]
+    return [((-1) ** sum(a > b for a, b in combinations(perm, 2)),
+             tuple(entries[i] for i in perm))
+            for perm in permutations(range(len(entries)))]
+
+
+def _literal_chains(d, r, star):
+    """Every chain d > d_1 > ... > d_r >= 0 (d_i >= d_(i+1) when star), top
+    index first."""
+    pick = combinations_with_replacement if star else combinations
+    return [chain[::-1] for chain in pick(range(d), r)]
+
+
+def _literal_table(ring, h, kind, entries, D, star):
+    """P[0..D] of a node with no DP: P[d] sums, over the node's orderings
+    and the chains below d, the signed product of h(d_i, e_i)."""
+    orders = _literal_orders(kind, entries)
+    table = []
+    for d in range(D + 1):
+        total = ring.zero()
+        for sign, order in orders:
+            for chain in _literal_chains(d, len(order), star):
+                term = reduce(ring.mul, map(h, chain, order))
+                total = ring.add(total, term if sign > 0 else ring.neg(term))
+        table.append(total)
+    return table
+
+
+_GENERIC_RINGS = {"zmod": ZModRing(12), "polymod": TruncatedPolyRing(3, 2),
+                  "rationals": RationalRing(), "gf": GFRing(F4)}
+
+
+@st.composite
+def carriers_and_nodes(draw):
+    """(ring, D, h, kind, entries, star): a generic ring over an index set
+    of 1..5 levels, or a truncated (D <= 4), finite or v-adic (v = t or
+    t^2+t+1, N <= 3) carrier, and a node of depth 1..6, so that D < r
+    occurs."""
+    name = draw(st.sampled_from(sorted(_GENERIC_RINGS) +
+                                ["exact", "finite", "vadic"]))
+    star = draw(st.booleans())
+    kind = draw(st.sampled_from([None, False, True]))
+    if name in _GENERIC_RINGS:
+        ring = _GENERIC_RINGS[name]
+        D = draw(st.integers(1, 5))
+        rng = random.Random(draw(st.integers(0, 3)))
+        table = {(d, e): ring.rand(rng) for d in range(D) for e in range(1, 5)}
+        ring_D_h = ring, D, lambda d, e: table[d, e]
+        entry = st.integers(1, 4)
+    else:
+        v = draw(st.sampled_from([T2, V2]))
+        evaluator = (TruncatedExact(draw(st.integers(1, 4)), star)
+                     if name == "exact" else Finite(v, star)
+                     if name == "finite" else
+                     Vadic(v, draw(st.integers(1, 3)), star))
+        ring_D_h = evaluator.carrier(F2)
+        entry = st.sampled_from([-1, 1, 2, 3])
+    # a signed sum is over distinct entries
+    entries = tuple(draw(st.lists(entry, min_size=1, max_size=6,
+                                  unique=kind is True)))
+    return (*ring_D_h, kind, entries, star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(carriers_and_nodes())
+def test_every_cell_matches_literal_chain_enumeration(case):
+    """Every cell P[0..D] of a node's table, strict and star, equals the
+    literal sum over its chains: with one store grown at D = 1, 2, ...
+    (so both L > 0 and L < r - 1 occur) and with a fresh store at D (L = 0,
+    and D < r)."""
+    ring, D, h, kind, entries, star = case
+    r = len(entries)
+    chains = sum(len(_literal_chains(d, r, star)) for d in range(D + 1))
+    # the enumeration costs orderings x chains: keep each example small
+    assume(len(_literal_orders(kind, entries)) * chains <= 3000)
+    # LFrac has no value equality; compare the normalized fractions
+    canon = ((lambda x: x.to_ratfn()) if ring is exact_ring(F2)
+             else (lambda x: x))
+    literal = [canon(x)
+               for x in _literal_table(ring, h, kind, entries, D, star)]
+    tables = {}
+    for level in range(1, D + 1):
+        grown = _top_terms(entries, level, star, ring, h, tables, kind)
+        assert [canon(x) for x in grown] == literal[:level + 1], level
+    fresh = _top_terms(entries, D, star, ring, h, {}, kind)
+    assert [canon(x) for x in fresh] == literal
+    if not star:
+        assert all(x == canon(ring.zero()) for x in literal[:r])
+
+
+class _CountingRing(ZModRing):
+    """Z/12 that counts its multiplications."""
+
+    def __init__(self):
+        super().__init__(12)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+@pytest.mark.parametrize("entries,star,kind,muls", [
+    ((1, 2, 3), False, None, 7),
+    ((1, 2, 3, 4, 5), False, None, 10),
+    ((1, 2, 3, 4, 5, 6), False, None, 0),
+    ((1, 2, 3, 4, 5), False, True, 215),
+    ((1, 1, 2, 3), False, False, 55),
+    ((1, 2, 3), True, None, 10)])
+def test_one_mht_sum_skips_the_cells_no_strict_chain_reaches(entries, star,
+                                                            kind, muls):
+    """The multiplications of one fresh mht_sum at D = 5: a strict node of
+    r entries computes only its cells d = r - 1..4, none when r > 5; star
+    nodes compute every cell."""
+    ring = _CountingRing()
+    inst = MHTInstance(ring, (0, 1, 2, 3, 4), (1, 2, 3, 4, 5, 6),
+                       {(d, e): (7 * d + 3 * e) % 12
+                        for d in range(5) for e in range(1, 7)})
+    mht_sum(inst, entries, star, None, kind)
+    assert ring.muls == muls

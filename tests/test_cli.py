@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ffmzv
 from ffmzv import FieldSpec, RationalFn, monic_polys, random_instance
-from ffmzv.cli import _make_ring, main, parse_args
+from ffmzv.cli import _build_parser, _make_ring, main, parse_args
 from ffmzv.errors import InvalidFamilyInput
 
 
@@ -324,3 +329,52 @@ def test_exit_code_3_on_unwritable_path(capsys):
                  "--out", "/nonexistent-dir/x.json"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_one_parser_serves_every_main_call_as_a_fresh_process(capsys):
+    """The parser is built once per process; main calls after a usage error
+    and after other subcommands report what a fresh process reports."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ffmzv.__file__).parents[1])}
+    for argv in (["compute", "--bogus"],
+                 ["compute", "--tuple", "(1,2)", "--D", "3"],
+                 ["verify", "--family", "thm2", "--tuple", "(1,2,3)",
+                  "--evaluator", "vadic", "--v", "t", "--N", "2"],
+                 ["search", "--v", "t", "--weight-max", "4", "--depth-max",
+                  "3", "--N", "2"],
+                 ["compute", "--tuple", "(1,2)"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ffmzv.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (captured.out, captured.err, code) == \
+            (fresh.stdout, fresh.stderr, fresh.returncode), argv
+    assert _build_parser() is _build_parser()
+
+
+def test_truncated_verify_with_every_chain_sum_empty_is_refused(capsys):
+    """A strict node of r entries has no chain below D = r: when every
+    generator has a node longer than D, the relation is an empty sum, and
+    its Zero would be vacuous."""
+    for argv, least in (
+            (["--family", "thm2", "--tuple", "(1,2,3)", "--D", "2"], 3),
+            (["--family", "thmA", "--tuple", "(1,2,3,4,5,6,7,8,9,10,11)",
+              "--D", "3"], 10)):
+        assert main(["verify", "--evaluator", "trunc", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the least D at which a generator can be nonzero is " \
+               f"{least}" in captured.err
+    # at the least D the relation is evaluated: thm2 truncated is NonZero
+    code, out = run(capsys, "verify", "--family", "thm2", "--tuple",
+                    "(1,2,3)", "--evaluator", "trunc", "--D", "3")
+    assert code == 1 and json.loads(out)["verdict"] == "NonZero"
+    # one generator within reach is enough: thmA's heads have depth 2
+    code, out = run(capsys, "verify", "--family", "thmA", "--tuple",
+                    "(1,2,4)", "--evaluator", "trunc", "--D", "2")
+    assert code == 0 and json.loads(out)["verdict"] == "Zero"
+    # star chains reach every level, and compute reports a value
+    for argv in (["verify", "--family", "thm2", "--tuple", "(1,2,3)",
+                  "--evaluator", "trunc", "--D", "2", "--star"],
+                 ["compute", "--tuple", "(1,2,3)", "--D", "2"]):
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["value"] == "0", argv

@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffmzv import (Composition, FieldSpec, GFRing, MHTInstance, RationalFn,
                    RationalRing, TruncatedPolyRing, ZModRing, check_thmC,
@@ -11,6 +13,7 @@ from ffmzv.errors import DoublingLawViolated, InvalidFamilyInput
 from ffmzv.power_sums import _exact_frac
 
 F2 = FieldSpec.parse("q=2")
+F4 = FieldSpec.parse("q=4")
 
 
 def literal_mht(inst, s, star=False):
@@ -171,3 +174,16 @@ def test_rationals_char_zero_counterexample_free():
     inst = random_instance(7, RationalRing(), (4, 5))
     _, ok = check_thmC(inst, inst.magma[:5])
     assert ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZModRing(12), TruncatedPolyRing(5, 3), RationalRing(),
+                        GFRing(F4)]), st.integers(0, 99),
+       st.integers(-40, 40))
+def test_scale_is_the_repeated_sum(ring, seed, c):
+    """scale(a, c) is a added |c| times, negated for c < 0."""
+    a = ring.rand(random.Random(seed))
+    total = ring.zero()
+    for _ in range(abs(c)):
+        total = ring.add(total, a)
+    assert ring.scale(a, c) == (ring.neg(total) if c < 0 else total)
