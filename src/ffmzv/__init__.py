@@ -19,8 +19,7 @@ from .ratfn import RationalFn
 from .relations import (FormalRelation, Thm3Config, evaluate_relation,
                         gen_thm2, gen_thm3, gen_thmA, gen_thmB, is_q_even,
                         is_trivial_zero)
-from .residue import (AtLeast, ResidueElem, ResidueRing, poly_inv_mod,
-                      v_valuation)
+from .residue import ResidueElem, ResidueRing, poly_inv_mod
 from .search import (SearchScope, compare_with_universal, enumerate_tuples,
                      find_relations, value_matrix)
 from .zeta import (Composition, Finite, StabilizationReport, TruncatedExact,

@@ -179,6 +179,11 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         cfg = _parse_pairs(args.pairs)
         rel = gen_thm3(cfg, spec) if args.family == "thm3" else gen_thmB(cfg, spec)
         inp = ",".join(f"({s}:{k})" for s, k in cfg.pairs)
+    terms = rel.term_count()
+    if terms == 0:
+        raise ParseError(f"{args.family} {inp} has no terms: they cancel "
+                         f"mod {spec.p}, so its value is an empty sum, a "
+                         f"vacuous PASS")
 
     # a flag the evaluator would ignore is refused, not dropped silently
     if args.N is not None and args.evaluator != "vadic":
@@ -193,8 +198,8 @@ def _run_verify(args, spec: FieldSpec) -> dict:
         # a strict node of r entries has no chain below D = r: if every
         # generator has a longer node, the value is an empty sum, a vacuous
         # Zero
-        least = min((max(len(entries) for _, entries in nodes)
-                     for _, nodes in rel.generators), default=0)
+        least = min(max(len(entries) for _, entries in nodes)
+                    for _, nodes in rel.generators)
         if not args.star and least > args.D:
             raise ParseError(
                 f"--D {args.D} is below every generator: each has a node of "
@@ -217,7 +222,7 @@ def _run_verify(args, spec: FieldSpec) -> dict:
     value, verdict = evaluate_relation(rel, evaluator)
     return {"command": "verify", "q": spec.q, "family": args.family,
             "input": inp, "evaluator": args.evaluator, "star": args.star,
-            "terms": rel.term_count(), "value": str(value),
+            "terms": terms, "value": str(value),
             "verdict": str(verdict), "passed": verdict.passed}
 
 
@@ -289,6 +294,9 @@ def _run_harmonic(args) -> dict:
 
 
 def _run_primes(args, spec: FieldSpec) -> dict:
+    if args.degree_max < 1:
+        # an empty list would be a vacuous PASS
+        raise ParseError(f"--degree-max must be >= 1, got {args.degree_max}")
     primes = []
     for d in range(1, args.degree_max + 1):
         primes.extend(str(v) for v in irreducible_polys(spec, d))

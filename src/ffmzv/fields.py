@@ -116,11 +116,6 @@ class FieldSpec:
     def modulus_string(self) -> str:
         return _sum_str([str(c) for c in self.modulus], "x")
 
-    def spec_string(self) -> str:
-        if self.f == 1:
-            return f"q={self.q}"
-        return f"q={self.q};modulus={self.modulus_string()}"
-
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, a: int) -> tuple[int, ...]:

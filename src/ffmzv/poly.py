@@ -324,9 +324,6 @@ class Poly:
         rem = lay.reduce(r.to_bytes(m * size, "little"), lay.w)
         return Poly(lay, lay.encode(quot)), Poly(lay, lay.strip(rem))
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

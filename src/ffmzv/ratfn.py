@@ -64,20 +64,8 @@ class RationalFn:
         return RationalFn(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFn") -> "RationalFn":
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
 
     def inv(self) -> "RationalFn":
         if self.is_zero():

@@ -34,7 +34,7 @@ from functools import cache
 from itertools import product
 from math import factorial, prod
 
-from .errors import InvalidEvaluator, InvalidFamilyInput, ParseError
+from .errors import InvalidEvaluator, InvalidFamilyInput
 from .fields import FieldSpec
 from . import zeta
 from .poly import Poly
@@ -296,22 +296,6 @@ class FormalRelation:
                 "tag": self.tag,
             }))
         return "\n".join(lines)
-
-    @staticmethod
-    def from_json_lines(text: str, spec: FieldSpec) -> "FormalRelation":
-        raw = []
-        tag = "custom"
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            tag = obj.get("tag", tag)
-            coeff = obj["coeff"][0]
-            if not isinstance(coeff, int) or not 0 <= coeff < spec.p:
-                raise ParseError(f"coefficient {coeff} outside [0, {spec.p})")
-            raw.append((coeff, tuple(tuple(f) for f in obj["factors"])))
-        return FormalRelation.build(raw, tag, spec)
 
 
 @dataclass(frozen=True)

@@ -13,42 +13,17 @@ packed integers.  A product is reduced by adding one table entry per window
 to its low m coefficients and reducing the slots mod p once, so ``*`` and
 ``image`` (up to degree 2m - 2) do no division.  Tables that are all zero
 are dropped: at v = t the reduction is a slice of the bytes.  Larger
-images, valuations and the inverse (extended Euclid against v^N) still
-divide.
+images and the inverse (extended Euclid against v^N) still divide.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import InvalidPrime, MixedModulus, NotInvertible
 from .fields import FieldSpec
 from .poly import Poly, is_irreducible, poly_ext_gcd, window_reducer
 from .ratfn import RationalFn
-
-
-@dataclass(frozen=True)
-class AtLeast:
-    """Valuation lower bound: all that a zero representative mod v^N certifies."""
-    n: int
-
-    def __str__(self):
-        return f">={self.n}"
-
-
-PLUS_INFINITY = AtLeast(10 ** 9)  # valuation of an exactly-zero rational function
-
-
-def _poly_valuation(g: Poly, v: Poly) -> int:
-    """The exponent of v in a nonzero polynomial g."""
-    val = 0
-    while True:
-        q, rem = divmod(g, v)
-        if not rem.is_zero():
-            return val
-        val += 1
-        g = q
 
 
 def _check_prime(v: Poly):
@@ -180,11 +155,6 @@ class ResidueElem:
             raise ValueError("cannot raise precision")
         return ResidueRing(self.v, M).image(self.rep)
 
-    def valuation(self) -> int | AtLeast:
-        if self.rep.is_zero():
-            return AtLeast(self.N)
-        return _poly_valuation(self.rep, self.v)
-
     def __eq__(self, other):
         if not isinstance(other, ResidueElem):
             return NotImplemented
@@ -199,18 +169,3 @@ class ResidueElem:
     def __repr__(self):
         return f"ResidueElem({str(self)!r})"
 
-
-def v_valuation(x: RationalFn | ResidueElem, v: Poly) -> int | AtLeast:
-    """v-adic valuation.
-
-    Exact for rational functions (PLUS_INFINITY marker on zero); for residue
-    elements it is exact on nonzero representatives and AtLeast(N) otherwise.
-    """
-    _check_prime(v)
-    if isinstance(x, ResidueElem):
-        if x.v != v:
-            raise MixedModulus("valuation at a prime different from the carrier's")
-        return x.valuation()
-    if x.is_zero():
-        return PLUS_INFINITY
-    return _poly_valuation(x.num, v) - _poly_valuation(x.den, v)

@@ -46,17 +46,6 @@ class Composition:
             raise ValueError("composition must be nonempty")
         object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
 
-    @property
-    def depth(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> int | None:
-        """Sum of entries, defined only when all entries are positive."""
-        if all(e > 0 for e in self.entries):
-            return sum(self.entries)
-        return None
-
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 

@@ -378,3 +378,33 @@ def test_truncated_verify_with_every_chain_sum_empty_is_refused(capsys):
                  ["compute", "--tuple", "(1,2,3)", "--D", "2"]):
         code, out = run(capsys, *argv)
         assert code == 0 and json.loads(out)["value"] == "0", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "thmA", "--tuple", "(1)", "--evaluator", "vadic", "--v", "t",
+     "--N", "2"],
+    ["--family", "thmB", "--pairs", "(1:1)", "--evaluator", "trunc", "--D",
+     "2"],
+    ["--family", "thmB", "--pairs", "(1:1)", "--evaluator", "finite", "--v",
+     "t"],
+    ["--family", "thmB", "--pairs", "(1:1)", "--evaluator", "vadic", "--v",
+     "t"],
+    ["--q", "4", "--family", "thmB", "--pairs", "(3:1)", "--evaluator",
+     "trunc", "--D", "2"],
+    ["--family", "thm3", "--pairs", "(1:1),(3:1)", "--evaluator", "vadic",
+     "--v", "t"]], ids=" ".join)
+def test_verify_of_a_relation_whose_terms_all_cancel_is_refused(capsys, argv):
+    """thmA (1) is zeta(1) - zeta(1), thmB with one pair of multiplicity 1
+    is a term minus itself, and thm3 with p | phi drops its only generator:
+    no terms, so every evaluator's value is an empty sum, a vacuous PASS."""
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "has no terms" in captured.err
+
+
+@pytest.mark.parametrize("degree_max", ["0", "-1"])
+def test_primes_below_degree_one_is_refused(capsys, degree_max):
+    # no degree to list: the empty list would be a vacuous PASS
+    assert main(["primes", "--degree-max", degree_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--degree-max" in captured.err

@@ -3,14 +3,12 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmzv import (AtLeast, FieldSpec, Poly, RationalFn, ResidueElem,
-                   ResidueRing, irreducible_polys, monic_polys, parse_poly,
-                   poly_inv_mod, v_valuation)
+from ffmzv import (FieldSpec, Poly, RationalFn, ResidueElem, ResidueRing,
+                   irreducible_polys, monic_polys, parse_poly, poly_inv_mod)
 from ffmzv.errors import InvalidPrime, MixedModulus, NotInvertible
 from ffmzv.power_sums import _powers
 
 F2 = FieldSpec.parse("q=2")
-F3 = FieldSpec.parse("q=3")
 T2 = parse_poly("t", F2)
 V2 = parse_poly("t^2+t+1", F2)
 
@@ -70,12 +68,6 @@ def test_mixed_modulus_rejected():
         x * ResidueRing(T2, 3).one()
 
 
-def test_valuation():
-    assert ResidueRing(T2, 4).image(parse_poly("t^2+t^3", F2)).valuation() == 2
-    assert ResidueRing(T2, 4).zero().valuation() == AtLeast(4)
-    assert ResidueRing(T2, 4).one().valuation() == 0
-
-
 def test_reduce_precision_consistency():
     x = ResidueRing(T2, 4).image(parse_poly("t^3+t+1", F2))
     y = x.reduce_precision(2)
@@ -89,15 +81,6 @@ def test_from_ratfn():
     assert r.rep == parse_poly("t^2+t+1", F2)
     with pytest.raises(NotInvertible):
         ResidueRing(T2, 2).from_ratfn(RationalFn(Poly.one(F2), T2))
-
-
-def test_v_valuation_on_rational_functions():
-    t = Poly.t(F3)
-    one = Poly.one(F3)
-    x = RationalFn(t ** 3 + t ** 4, one + t)  # t^3 (1+t)/(1+t)
-    assert v_valuation(x, t) == 3
-    assert v_valuation(RationalFn(one, t ** 2), t) == -2
-    assert v_valuation(RationalFn.zero(F3), t) == AtLeast(10 ** 9)
 
 
 # -- the window reducer against divmod -------------------------------------------
